@@ -13,14 +13,14 @@ written so that they execute the same IEEE-754 operations in the same order,
 and the test suite asserts their outputs are bit-identical.
 
 Backend selection happens once at import time: setting ``LIGHTLEAK_NO_NUMBA=1``
-in the environment (or numba being unavailable) selects the numpy path.
+in the environment, or numba not being installed (it is the optional
+``numba`` extra), silently selects the numpy path.
 ``benchmarks/bench_kernels.py`` times both.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 from scipy.signal import lfilter
@@ -38,9 +38,8 @@ else:
     try:
         from numba import njit
         _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba installed
+    except ImportError:  # numba is an optional extra; numpy is the baseline
         _HAVE_NUMBA = False
-        warnings.warn("numba unavailable; falling back to pure-numpy kernels")
 
 BACKEND = "numba" if _HAVE_NUMBA else "numpy"
 

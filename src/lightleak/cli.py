@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bulb, channel, codec, dsp, fileio, harness
+from . import channel, codec, dsp, fileio, harness
 from .config import build_from_values, parse_config_text, read_config_file
-from .errors import ConfigError, LightLeakError
+from .errors import ConfigError, LightLeakError, ScheduleFormatError, TraceFormatError
 
 EXIT_OK = 0
 EXIT_DECODE_ERROR = 1
@@ -45,18 +45,24 @@ def _gather(args) -> tuple:
         values["rng_seed"] = args.seed
     config, alphabet, extra = build_from_values(values)
     window = int(extra.get("window_length", harness.DEFAULT_WINDOW_LENGTH))
-    hop = extra.get("hop")
     tracker = extra.get("tracker", "stft")
-    if tracker not in harness.CONFIDENCE_FLOORS:
-        raise ConfigError(f"unknown tracker {tracker!r}")
+    hop = harness.check_receiver(window, extra.get("hop"), tracker)
     return config, alphabet, window, hop, tracker
 
 
-def _payload(args) -> bytes:
+def _payload(args) -> bytes | None:
+    if args.payload_hex is None:
+        return None
     try:
         return bytes.fromhex(args.payload_hex)
     except ValueError:
         raise ConfigError(f"--payload-hex is not valid hex: {args.payload_hex!r}")
+
+
+def _require_out(args) -> str:
+    if not args.out:
+        raise ConfigError(f"{args.command} requires --out for the output file")
+    return args.out
 
 
 def _write(text: str, out_path) -> None:
@@ -89,60 +95,38 @@ def cmd_simulate(args) -> int:
 def cmd_transmit(args) -> int:
     config, alphabet, window, _, _ = _gather(args)
     payload = _payload(args)
+    out = _require_out(args)
     harness.check_symbol_timing(config, alphabet, window)
-    bits = codec.encode_frame(payload)
-    schedule = codec.bits_to_schedule(
-        bits, alphabet, start_time=harness.LEAD_IN_SYMBOLS * alphabet.symbol_period)
-    schedule = bulb.apply_rate_limit(schedule, config.max_command_rate).schedule
-    if not args.out:
-        raise ConfigError("transmit requires --out for the schedule file")
-    fileio.export_schedule(schedule, args.out)
+    schedule, _ = harness.transmit(config, alphabet, payload)
+    fileio.export_schedule(schedule, out)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
     config, alphabet, _, _, _ = _gather(args)
+    out = _require_out(args)
     schedule = fileio.import_schedule(args.schedule)
     duration = args.duration
     if duration is None:
-        duration = (schedule.last_time + config.fade_duration
-                    + harness.TAIL_SYMBOLS * alphabet.symbol_period)
-    sensor = channel.simulate_link(schedule, config, duration)
-    if not args.out:
-        raise ConfigError("render requires --out for the trace file")
-    fileio.export_trace(sensor, args.out)
+        duration = harness.link_duration(schedule, config, alphabet)
+    fileio.export_trace(channel.simulate_link(schedule, config, duration), out)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     config, alphabet, window, hop, tracker = _gather(args)
+    reference = _payload(args)
     trace = fileio.import_trace(args.trace)
-    hop = int(hop) if hop is not None else window // 2
-    if tracker == "stft":
-        track = dsp.dominant_frequency(dsp.stft(trace, window, hop))
-    else:
-        track = dsp.zero_crossing_frequency(trace, window, hop)
-    calibration = codec.calibrate(track, alphabet)
-    floor = harness.CONFIDENCE_FLOORS[tracker]
-    bits = codec.classify_symbols(track, calibration, alphabet, confidence_floor=floor)
-    slots = codec.symbol_slots(track, calibration, alphabet)
-    confidences = [s.confidence for s in slots]
-    reference = bytes.fromhex(args.payload_hex) if args.payload_hex else None
-    report = codec.decode_frame(bits, reference=reference, confidences=confidences)
+    report = harness.receive(trace, alphabet, window, hop, tracker, reference)
     rate = codec.throughput(alphabet, config.max_command_rate)
-    text = fileio.format_report(report, throughput_bits=rate)
-    _write(text, args.out)
+    _write(fileio.format_report(report, throughput_bits=rate), args.out)
     return _report_exit(report, has_reference=reference is not None)
 
 
 def cmd_spectrogram(args) -> int:
     _, _, window, hop, _ = _gather(args)
-    trace = fileio.import_trace(args.trace)
-    hop = int(hop) if hop is not None else window // 2
-    spec = dsp.stft(trace, window, hop)
-    if not args.out:
-        raise ConfigError("spectrogram requires --out for the table file")
-    fileio.export_spectrogram(spec, args.out)
+    out = _require_out(args)
+    fileio.export_spectrogram(dsp.stft(fileio.import_trace(args.trace), window, hop), out)
     return EXIT_OK
 
 
@@ -214,6 +198,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except (OSError, ScheduleFormatError, TraceFormatError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except LightLeakError as exc:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""

@@ -271,13 +271,14 @@ def calibrate(track: FrequencyTrack, alphabet: SymbolAlphabet) -> Calibration:
 
 def classify_symbols(track: FrequencyTrack, calibration: Calibration,
                      alphabet: SymbolAlphabet,
-                     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR) -> np.ndarray:
-    """Recover the bit sequence from a frequency track.
+                     confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
+                     ) -> tuple[np.ndarray, list[SymbolSlot]]:
+    """Recover the bit sequence from a frequency track, with the slots it came from.
 
     Delimiter plateaus split the track into data slots; a slot whose median
     frequency clears the calibrated threshold is a one, otherwise a zero.
     Slots whose median confidence falls below ``confidence_floor`` are marked
-    as erasures rather than guessed.
+    as erasures rather than guessed.  ``bits[i]`` comes from ``slots[i]``.
     """
     slots = symbol_slots(track, calibration, alphabet)
     bits = np.empty(len(slots), dtype=np.int8)
@@ -286,7 +287,7 @@ def classify_symbols(track: FrequencyTrack, calibration: Calibration,
             bits[i] = ERASURE
         else:
             bits[i] = 1 if slot.frequency >= calibration.threshold else 0
-    return bits
+    return bits, slots
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,11 @@ class TraceFormatError(LightLeakError):
     def __init__(self, message: str, byte_offset: int):
         super().__init__(f"{message} (at byte {byte_offset})")
         self.byte_offset = byte_offset
+
+
+class ScheduleFormatError(DomainError):
+    """A schedule file could not be parsed; ``line`` is the 1-based line number."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"{message} (at line {line})")
+        self.line = line

@@ -13,10 +13,10 @@ import struct
 
 import numpy as np
 
-from .bulb import CommandSchedule
+from .bulb import BrightnessCommand, CommandSchedule
 from .codec import DecodeReport, bits_to_text
 from .dsp import Spectrogram
-from .errors import DomainError, TraceFormatError
+from .errors import DomainError, ScheduleFormatError, TraceFormatError
 from .traces import IntensityTrace, LevelTrace, PwmTrace, SensorTrace
 
 MAGIC = b"LLTRACE\x00"
@@ -118,23 +118,33 @@ def export_schedule(schedule: CommandSchedule, path) -> None:
 
 
 def import_schedule(path) -> CommandSchedule:
-    """Parse a schedule file written by `export_schedule`."""
-    pairs = []
-    initial = None
+    """Parse a schedule file written by `export_schedule`.
+
+    A malformed line, a missing header or an out-of-order command raises
+    `ScheduleFormatError` naming the line.
+    """
+    commands = []
+    initial = header_line = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "initial_level=" in line:
+            try:
+                if line.startswith("#") and "initial_level=" in line:
                     initial = int(line.split("initial_level=", 1)[1])
-                continue
-            t_str, level_str = line.split()
-            pairs.append((float(t_str), int(level_str)))
+                    header_line = lineno
+                elif line and not line.startswith("#"):
+                    t_str, level_str = line.split()
+                    commands.append(BrightnessCommand(float(t_str), int(level_str)))
+                    if len(commands) > 1 and commands[-1].at_time <= commands[-2].at_time:
+                        raise DomainError("command times must be strictly increasing")
+            except ValueError as exc:
+                raise ScheduleFormatError(f"{line!r}: {exc}", lineno) from None
     if initial is None:
-        raise DomainError("schedule file missing initial_level header")
-    return CommandSchedule.from_pairs(pairs, initial)
+        raise ScheduleFormatError("schedule file missing initial_level header", 1)
+    try:
+        return CommandSchedule(tuple(commands), initial)
+    except DomainError as exc:
+        raise ScheduleFormatError(str(exc), header_line) from None
 
 
 def format_report(report: DecodeReport, throughput_bits: float | None = None,
@@ -154,9 +164,3 @@ def format_report(report: DecodeReport, throughput_bits: float | None = None,
         lines.append(f"throughput_bits_per_s={throughput_bits!r}")
     lines.append(f"bits={bits_to_text(report.bits)}")
     return "\n".join(lines) + "\n"
-
-
-def export_report(report: DecodeReport, path, throughput_bits: float | None = None,
-                  extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report, throughput_bits, extra))

@@ -1,10 +1,11 @@
 """End-to-end pipeline, metrics, and Monte-Carlo parameter sweeps.
 
-``run_end_to_end`` drives the full chain: frame the payload, schedule
-brightness commands, rate-limit, render the fading level trace and the PWM
-waveform, propagate through the optical channel, convert to the sensor square
-wave, track its frequency, calibrate from the preamble, classify symbols and
-decode.  Everything is deterministic given the config seed.
+``transmit`` frames the payload into a rate-limited brightness schedule;
+``receive`` tracks a sensor trace's frequency, calibrates from the preamble,
+classifies symbols and decodes.  ``run_end_to_end`` joins the two through
+``channel.simulate_link``.  The CLI uses the same three pieces, so the file
+pipeline and the in-memory one cannot drift apart.  Everything is
+deterministic given the config seed.
 
 ``sweep`` repeats that over one swept parameter with independent trial seeds,
 reporting mean bit error rate and calibration-failure rate per point.
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bulb, channel, codec, dsp
+from .bulb import CommandSchedule
 from .codec import DecodeReport
 from .config import ChannelConfig, SymbolAlphabet
 from .errors import CalibrationError, ConfigError, LightLeakError
+from .traces import SensorTrace
 
 DEFAULT_WINDOW_LENGTH = 4096
 #: confidence floor per tracker; zero-crossing confidences live in [0, 1]
@@ -119,6 +122,56 @@ def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
             stacklevel=2)
 
 
+def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
+    """Validate the tracker name and return the hop, defaulting to half a window."""
+    if tracker not in CONFIDENCE_FLOORS:
+        raise ConfigError(f"unknown tracker {tracker!r}")
+    return window_length // 2 if hop is None else hop
+
+
+def link_duration(schedule: CommandSchedule, config: ChannelConfig,
+                  alphabet: SymbolAlphabet) -> float:
+    """Simulated seconds for a schedule: last command, its fade, the quiet tail."""
+    return (schedule.last_time + config.fade_duration
+            + TAIL_SYMBOLS * alphabet.symbol_period)
+
+
+def transmit(config: ChannelConfig, alphabet: SymbolAlphabet,
+             payload: bytes) -> tuple[CommandSchedule, float]:
+    """Frame ``payload`` into a rate-limited command schedule and its duration."""
+    with _stage("encode"):
+        bits = codec.encode_frame(payload)
+    with _stage("schedule"):
+        schedule = codec.bits_to_schedule(
+            bits, alphabet, start_time=LEAD_IN_SYMBOLS * alphabet.symbol_period)
+        schedule = bulb.apply_rate_limit(schedule, config.max_command_rate).schedule
+    return schedule, link_duration(schedule, config, alphabet)
+
+
+def receive(sensor: SensorTrace, alphabet: SymbolAlphabet,
+            window_length: int = DEFAULT_WINDOW_LENGTH, hop: int | None = None,
+            tracker: str = "stft", reference: bytes | None = None) -> DecodeReport:
+    """Track, calibrate, classify and decode a sensor trace.
+
+    ``reference``, when given, is the sent payload the bit error rate is
+    measured against.  Errors carry the failing stage in ``.stage``.
+    """
+    hop = check_receiver(window_length, hop, tracker)
+    with _stage("track"):
+        if tracker == "stft":
+            track = dsp.dominant_frequency(dsp.stft(sensor, window_length, hop))
+        else:
+            track = dsp.zero_crossing_frequency(sensor, window_length, hop)
+    with _stage("calibrate"):
+        calibration = codec.calibrate(track, alphabet)
+    with _stage("classify"):
+        bits, slots = codec.classify_symbols(track, calibration, alphabet,
+                                             confidence_floor=CONFIDENCE_FLOORS[tracker])
+    with _stage("decode"):
+        return codec.decode_frame(bits, reference=reference,
+                                  confidences=[s.confidence for s in slots])
+
+
 def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes,
                    window_length: int = DEFAULT_WINDOW_LENGTH,
                    hop: int | None = None, tracker: str = "stft") -> RunResult:
@@ -128,56 +181,21 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     returning garbage bits; a calibration failure therefore surfaces as
     `CalibrationError`, not as a bogus decode.
     """
-    if tracker not in CONFIDENCE_FLOORS:
-        raise ConfigError(f"unknown tracker {tracker!r}")
-    if hop is None:
-        hop = window_length // 2
+    hop = check_receiver(window_length, hop, tracker)
     check_symbol_timing(config, alphabet, window_length)
     started = time.perf_counter()
-    period = alphabet.symbol_period
-
-    with _stage("encode"):
-        bits = codec.encode_frame(payload)
-    with _stage("schedule"):
-        schedule = codec.bits_to_schedule(bits, alphabet,
-                                          start_time=LEAD_IN_SYMBOLS * period)
-        schedule = bulb.apply_rate_limit(schedule, config.max_command_rate).schedule
-    duration = schedule.last_time + config.fade_duration + TAIL_SYMBOLS * period
+    schedule, duration = transmit(config, alphabet, payload)
     with _stage("render"):
-        levels = bulb.render_level_trace(schedule, config, duration)
-        pwm = bulb.render_pwm(levels, config)
-    with _stage("channel"):
-        intensity = channel.propagate(pwm, config)
-        sensor = channel.sensor_response(intensity, config)
-    with _stage("track"):
-        track = _track(sensor, window_length, hop, tracker)
-    with _stage("calibrate"):
-        calibration = codec.calibrate(track, alphabet)
-    with _stage("classify"):
-        floor = CONFIDENCE_FLOORS[tracker]
-        rec_bits = codec.classify_symbols(track, calibration, alphabet,
-                                          confidence_floor=floor)
-        slots = codec.symbol_slots(track, calibration, alphabet)
-        confidences = np.array([s.confidence for s in slots], dtype=np.float64)
-    with _stage("decode"):
-        report = codec.decode_frame(rec_bits, reference=payload, confidences=confidences)
-
-    wall = time.perf_counter() - started
+        sensor = channel.simulate_link(schedule, config, duration)
+    report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload)
     return RunResult(
         config=_snapshot(config, alphabet, payload, window_length, hop, tracker),
         payload=payload,
         report=report,
         simulated_duration=duration,
-        wall_time=wall,
+        wall_time=time.perf_counter() - started,
         samples_processed=len(sensor),
     )
-
-
-def _track(sensor, window_length, hop, tracker):
-    if tracker == "stft":
-        spec = dsp.stft(sensor, window_length, hop)
-        return dsp.dominant_frequency(spec)
-    return dsp.zero_crossing_frequency(sensor, window_length, hop)
 
 
 def _apply_parameter(spec: SweepSpec, value):

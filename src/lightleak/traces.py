@@ -14,51 +14,28 @@ import numpy as np
 from .errors import DomainError
 
 
-def _as_float_array(values) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-
-
-def _as_binary_array(values) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.uint8))
-    if arr.size and arr.max() > 1:
-        raise DomainError("binary trace values must be 0 or 1")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class LevelTrace:
-    """Effective brightness level over time, fading applied (values in [0, 255])."""
-
-    sample_rate: float
-    values: np.ndarray
-    start_time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_array(self.values))
-        if self.sample_rate <= 0:
-            raise DomainError("sample_rate must be > 0")
-        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 255.0):
-            raise DomainError("level values must lie in [0, 255]")
-
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def duration(self) -> float:
-        return self.values.size / self.sample_rate
-
-
-@dataclass(frozen=True, eq=False)
-class PwmTrace:
-    """Binary LED on/off waveform."""
+class _Trace:
+    """Shared body: values stored contiguously as ``_dtype``, then range-checked."""
 
     sample_rate: float
     values: np.ndarray = field(repr=False)
 
+    #: float64 traces carry analog values; uint8 traces are binary waveforms.
+    #: A plain class attribute, not a field, so it stays out of the dataclass.
+    _dtype = np.float64
+
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_binary_array(self.values))
+        values = np.ascontiguousarray(np.asarray(self.values, dtype=self._dtype))
+        object.__setattr__(self, "values", values)
         if self.sample_rate <= 0:
             raise DomainError("sample_rate must be > 0")
+        if values.size:
+            self._check_range(values)
+
+    def _check_range(self, values: np.ndarray) -> None:
+        if self._dtype is np.uint8 and values.max() > 1:
+            raise DomainError("binary trace values must be 0 or 1")
 
     def __len__(self):
         return self.values.size
@@ -69,43 +46,32 @@ class PwmTrace:
 
 
 @dataclass(frozen=True, eq=False)
-class IntensityTrace:
+class LevelTrace(_Trace):
+    """Effective brightness level over time, fading applied (values in [0, 255])."""
+
+    start_time: float = 0.0
+
+    def _check_range(self, values):
+        if not (values.min() >= 0.0 and values.max() <= 255.0):
+            raise DomainError("level values must lie in [0, 255]")
+
+
+class PwmTrace(_Trace):
+    """Binary LED on/off waveform."""
+
+    _dtype = np.uint8
+
+
+class IntensityTrace(_Trace):
     """Non-negative light intensity at the sensor, as a fraction of the
     transmitter full scale at reference geometry."""
 
-    sample_rate: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_array(self.values))
-        if self.sample_rate <= 0:
-            raise DomainError("sample_rate must be > 0")
-        if self.values.size and self.values.min() < 0.0:
+    def _check_range(self, values):
+        if values.min() < 0.0:
             raise DomainError("intensity values must be >= 0")
 
-    def __len__(self):
-        return self.values.size
 
-    @property
-    def duration(self) -> float:
-        return self.values.size / self.sample_rate
-
-
-@dataclass(frozen=True, eq=False)
-class SensorTrace:
+class SensorTrace(_Trace):
     """Binary square wave emitted by the light-to-frequency sensor."""
 
-    sample_rate: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_binary_array(self.values))
-        if self.sample_rate <= 0:
-            raise DomainError("sample_rate must be > 0")
-
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def duration(self) -> float:
-        return self.values.size / self.sample_rate
+    _dtype = np.uint8

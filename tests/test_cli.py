@@ -160,3 +160,68 @@ def test_window_length_override(config_file, tmp_path):
     rc = cli.main(["simulate", "--payload-hex", "41", "--config", config_file,
                    "--set", "window_length=2048"])
     assert rc == cli.EXIT_OK
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip()
+    assert err and "\n" not in err
+    return err
+
+
+def test_decode_bad_reference_hex_checked_before_reading_trace(config_file, tmp_path,
+                                                               capsys):
+    rc = cli.main(["decode", "--trace", str(tmp_path / "never-read.bin"),
+                   "--config", config_file, "--payload-hex", "zz"])
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "--payload-hex" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--payload-hex", "41", "--config", "{missing}"],
+    ["decode", "--trace", "{missing}"],
+    ["spectrogram", "--trace", "{missing}", "--out", "{tmp}/spec.txt"],
+    ["render", "--schedule", "{missing}", "--out", "{tmp}/t.bin"],
+])
+def test_missing_input_file_exit_two(command, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "absent", tmp=tmp_path) for a in command]
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    assert "absent" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# initial_level=137\n0.5 135 junk\n", 2),
+    ("0.5 135\n", 1),
+    ("# initial_level=137\n0.5 135\n0.25 140\n", 3),
+])
+def test_malformed_schedule_exit_two(config_file, tmp_path, capsys, text, line):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(text)
+    rc = cli.main(["render", "--schedule", str(sched), "--config", config_file,
+                   "--out", str(tmp_path / "t.bin")])
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert f"line {line}" in _one_line_error(capsys)
+
+
+def test_malformed_trace_exit_two(config_file, tmp_path, capsys):
+    trace = tmp_path / "t.bin"
+    trace.write_bytes(b"not a trace file, just a long enough line of plain text")
+    rc = cli.main(["decode", "--trace", str(trace), "--config", config_file])
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert "magic" in _one_line_error(capsys)
+
+
+def test_decode_calibration_failure_names_stage(config_file, tmp_path, capsys):
+    sched_path, trace_path = tmp_path / "s.txt", tmp_path / "t.bin"
+    noisy = ["--set", "noise_sigma=1.0", "--set", "distance=0.4",
+             "--set", "ambient_intensity=0.01"]
+    cli.main(["transmit", "--payload-hex", "41", "--config", config_file,
+              "--out", str(sched_path)])
+    cli.main(["render", "--schedule", str(sched_path), "--config", config_file,
+              "--out", str(trace_path)] + noisy)
+    capsys.readouterr()
+    rc = cli.main(["decode", "--trace", str(trace_path), "--config", config_file,
+                   "--payload-hex", "41"])
+    assert rc == cli.EXIT_DECODE_ERROR
+    err = _one_line_error(capsys)
+    assert err.startswith("CalibrationError")
+    assert err.endswith("[stage: calibrate]")

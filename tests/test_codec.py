@@ -187,11 +187,15 @@ class TestClassifySymbols:
 
     def test_round_trip_two_bits(self):
         track = track_for_bits([1, 0])
-        assert classify_symbols(track, self.CAL, ALPHABET).tolist() == [1, 0]
+        bits, slots = classify_symbols(track, self.CAL, ALPHABET)
+        assert bits.tolist() == [1, 0]
+        assert len(slots) == 2
 
     def test_pure_delimiter_empty(self):
         track = make_track("d" * 30)
-        assert classify_symbols(track, self.CAL, ALPHABET).tolist() == []
+        bits, slots = classify_symbols(track, self.CAL, ALPHABET)
+        assert bits.tolist() == []
+        assert slots == []
 
     def test_erasure_marking(self):
         bits = [1, 0, 1, 1, 0]
@@ -201,8 +205,10 @@ class TestClassifySymbols:
         slot = 16 * 5
         confs[slot:slot + 16] = 0.5
         dropped = FrequencyTrack(track.frame_times, track.frequencies, confs)
-        got = classify_symbols(dropped, self.CAL, ALPHABET)
+        got, slots = classify_symbols(dropped, self.CAL, ALPHABET)
         assert got.tolist() == [1, 0, ERASURE, 1, 0]
+        # each bit comes from the slot at the same index
+        assert [s.confidence < 1.0 for s in slots] == [False, False, True, False, False]
 
     def test_no_delimiter_structure(self):
         track = make_track("1" * 30)
@@ -213,13 +219,13 @@ class TestClassifySymbols:
         bits = list(PREAMBLE) + [1, 1, 0, 1, 0, 0]
         track = track_for_bits(bits)
         cal = calibrate(track, ALPHABET)
-        base = classify_symbols(track, cal, ALPHABET)
+        base, _ = classify_symbols(track, cal, ALPHABET)
         for scale in (0.25, 3.0):
             scaled = FrequencyTrack(track.frame_times, track.frequencies * scale,
                                     track.confidences)
             cal_s = calibrate(scaled, ALPHABET)
             assert cal_s.threshold == pytest.approx(cal.threshold * scale, rel=1e-9)
-            assert np.array_equal(classify_symbols(scaled, cal_s, ALPHABET), base)
+            assert np.array_equal(classify_symbols(scaled, cal_s, ALPHABET)[0], base)
 
 
 class TestDecodeFrame:

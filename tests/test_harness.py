@@ -9,6 +9,7 @@ from lightleak.errors import (
     CalibrationError,
     ConfigError,
     DomainError,
+    ScheduleFormatError,
     TraceFormatError,
 )
 from lightleak.traces import IntensityTrace, LevelTrace, PwmTrace, SensorTrace
@@ -74,6 +75,20 @@ class TestRunEndToEnd:
         config, alphabet = fast_link
         with pytest.raises(ConfigError):
             ll.run_end_to_end(config, alphabet, b"\x41", tracker="wavelet")
+
+    def test_segments_track_once(self, fast_link, monkeypatch):
+        config, alphabet = fast_link
+        calls = []
+        segment = codec.symbol_slots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return segment(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "symbol_slots", counted)
+        result = ll.run_end_to_end(config, alphabet, b"\x41")
+        assert result.report.ber == 0.0
+        assert len(calls) == 1
 
 
 class TestSweep:
@@ -234,6 +249,21 @@ class TestScheduleFiles:
         with pytest.raises(DomainError):
             fileio.import_schedule(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("# initial_level=137\n0.5 135 junk\n", 2),
+        ("# initial_level=x\n", 1),
+        ("# initial_level=137\n\n0.5 300\n", 3),
+        ("# initial_level=137\n0.5 135\n0.5 140\n", 3),
+        ("0.5 135\n# initial_level=999\n", 2),
+    ])
+    def test_malformed_names_line(self, tmp_path, text, line):
+        path = tmp_path / "sched.txt"
+        path.write_text(text)
+        with pytest.raises(ScheduleFormatError) as exc_info:
+            fileio.import_schedule(path)
+        assert exc_info.value.line == line
+        assert f"line {line}" in str(exc_info.value)
+
 
 class TestFilePipelineTransparency:
     def test_file_decode_equals_memory_decode(self, fast_link, tmp_path):
@@ -254,7 +284,7 @@ class TestFilePipelineTransparency:
         loaded = fileio.import_trace(trace_path)
         track = ll.dominant_frequency(ll.stft(loaded, 4096, 2048))
         calibration = codec.calibrate(track, alphabet)
-        bits_rx = codec.classify_symbols(track, calibration, alphabet)
+        bits_rx, _ = codec.classify_symbols(track, calibration, alphabet)
         report = codec.decode_frame(bits_rx, reference=payload)
 
         assert np.array_equal(report.bits, mem.report.bits)
