@@ -20,7 +20,6 @@ from .channel import propagate, sensor_response, simulate_link
 from .codec import (
     Calibration,
     DecodeReport,
-    Frame,
     bits_to_schedule,
     calibrate,
     classify_symbols,
@@ -51,7 +50,6 @@ __all__ = [
     "ChannelConfig",
     "CommandSchedule",
     "DecodeReport",
-    "Frame",
     "FrequencyTrack",
     "IntensityTrace",
     "LevelTrace",

@@ -174,6 +174,19 @@ def _fade_segments(schedule: CommandSchedule, fade_duration: float):
     return segments
 
 
+def check_duration(schedule: CommandSchedule, config: ChannelConfig,
+                   duration: float) -> None:
+    """Reject a duration that is not positive or ends before the last fade does."""
+    if duration <= 0:
+        raise DomainError(f"duration must be > 0, got {duration}")
+    if schedule.commands:
+        need = schedule.last_time + config.fade_duration
+        if duration < need:
+            raise DomainError(
+                f"duration {duration} s does not cover the last command plus its "
+                f"fade ({need} s)")
+
+
 def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
                        duration: float) -> LevelTrace:
     """Sample the effective brightness level over ``[0, duration)``.
@@ -183,14 +196,7 @@ def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
     level toward its target.  Overlapping fades re-anchor at the interpolated
     level.
     """
-    if duration <= 0:
-        raise DomainError(f"duration must be > 0, got {duration}")
-    if schedule.commands:
-        need = schedule.last_time + config.fade_duration
-        if duration < need:
-            raise DomainError(
-                f"duration {duration} s does not cover the last command plus its "
-                f"fade ({need} s)")
+    check_duration(schedule, config, duration)
     n = int(round(duration * config.sample_rate))
     dt = 1.0 / config.sample_rate
 

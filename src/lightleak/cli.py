@@ -20,9 +20,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import channel, codec, dsp, fileio, harness
+from . import bulb, channel, codec, dsp, fileio, harness
 from .config import build_from_values, parse_config_text, read_config_file
-from .errors import ConfigError, LightLeakError, ScheduleFormatError, TraceFormatError
+from .errors import (
+    ConfigError,
+    DomainError,
+    LightLeakError,
+    ScheduleFormatError,
+    TraceFormatError,
+)
+from .traces import SensorTrace
 
 EXIT_OK = 0
 EXIT_DECODE_ERROR = 1
@@ -54,9 +61,22 @@ def _payload(args) -> bytes | None:
     if args.payload_hex is None:
         return None
     try:
-        return bytes.fromhex(args.payload_hex)
+        payload = bytes.fromhex(args.payload_hex)
     except ValueError:
         raise ConfigError(f"--payload-hex is not valid hex: {args.payload_hex!r}")
+    if len(payload) > codec.MAX_PAYLOAD:
+        raise ConfigError(
+            f"--payload-hex holds {len(payload)} bytes, a frame carries at most "
+            f"{codec.MAX_PAYLOAD}")
+    return payload
+
+
+def _read_sensor(path) -> SensorTrace:
+    trace = fileio.import_trace(path)
+    if not isinstance(trace, SensorTrace):
+        raise TraceFormatError(
+            f"{path} holds a {type(trace).__name__}, not a SensorTrace", fileio.KIND_OFFSET)
+    return trace
 
 
 def _require_out(args) -> str:
@@ -109,6 +129,10 @@ def cmd_render(args) -> int:
     duration = args.duration
     if duration is None:
         duration = harness.link_duration(schedule, config, alphabet)
+    try:
+        bulb.check_duration(schedule, config, duration)
+    except DomainError as exc:
+        raise ConfigError(f"--duration: {exc}") from None
     fileio.export_trace(channel.simulate_link(schedule, config, duration), out)
     return EXIT_OK
 
@@ -116,7 +140,7 @@ def cmd_render(args) -> int:
 def cmd_decode(args) -> int:
     config, alphabet, window, hop, tracker = _gather(args)
     reference = _payload(args)
-    trace = fileio.import_trace(args.trace)
+    trace = _read_sensor(args.trace)
     report = harness.receive(trace, alphabet, window, hop, tracker, reference)
     rate = codec.throughput(alphabet, config.max_command_rate)
     _write(fileio.format_report(report, throughput_bits=rate), args.out)
@@ -126,7 +150,7 @@ def cmd_decode(args) -> int:
 def cmd_spectrogram(args) -> int:
     _, _, window, hop, _ = _gather(args)
     out = _require_out(args)
-    fileio.export_spectrogram(dsp.stft(fileio.import_trace(args.trace), window, hop), out)
+    fileio.export_spectrogram(dsp.stft(_read_sensor(args.trace), window, hop), out)
     return EXIT_OK
 
 

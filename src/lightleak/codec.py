@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bulb import BrightnessCommand, CommandSchedule
 from .config import SymbolAlphabet
@@ -39,30 +40,6 @@ _BAND_FRACTION = 0.25
 DEFAULT_CONFIDENCE_FLOOR = 2.0
 
 MAX_PAYLOAD = 255
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Logical frame: preamble + 8-bit length + per-byte (8 data bits, parity)."""
-
-    payload: bytes
-
-    def __post_init__(self):
-        if len(self.payload) > MAX_PAYLOAD:
-            raise DomainError(f"payload must be <= {MAX_PAYLOAD} bytes, got {len(self.payload)}")
-
-    @property
-    def length(self) -> int:
-        return len(self.payload)
-
-    def to_bits(self) -> np.ndarray:
-        bits = list(PREAMBLE)
-        bits.extend(_byte_bits(self.length))
-        for byte in self.payload:
-            data = _byte_bits(byte)
-            bits.extend(data)
-            bits.append(sum(data) % 2)  # even parity over the data bits
-        return np.array(bits, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -101,20 +78,16 @@ class DecodeReport:
             raise DomainError(f"ber must lie in [0, 1], got {self.ber}")
 
 
-def _byte_bits(byte: int) -> list[int]:
-    return [(byte >> k) & 1 for k in range(7, -1, -1)]
-
-
-def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | (1 if b == 1 else 0)
-    return value
-
-
 def encode_frame(payload: bytes) -> np.ndarray:
     """Frame a payload as bits: preamble, length byte, bytes with even parity."""
-    return Frame(bytes(payload)).to_bits()
+    payload = bytes(payload)
+    if len(payload) > MAX_PAYLOAD:
+        raise DomainError(f"payload must be <= {MAX_PAYLOAD} bytes, got {len(payload)}")
+    bits = np.unpackbits(np.frombuffer(bytes([len(payload)]) + payload, dtype=np.uint8))
+    data = bits[8:].reshape(-1, 8)
+    parity = data.sum(axis=1, keepdims=True, dtype=np.uint8) % 2  # even parity
+    groups = np.hstack([data, parity])
+    return np.concatenate([PREAMBLE, bits[:8], groups.ravel()]).astype(np.int8)
 
 
 def bits_to_schedule(bits, alphabet: SymbolAlphabet, start_time: float = 0.0) -> CommandSchedule:
@@ -160,20 +133,12 @@ def covertness_check(alphabet: SymbolAlphabet) -> str:
 # track segmentation
 
 
-def _plateau_runs(in_band: np.ndarray, min_run: int) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive in-band frames at least ``min_run`` long."""
-    runs = []
-    start = None
-    for i, flag in enumerate(in_band):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= min_run:
-                runs.append((start, i))
-            start = None
-    if start is not None and in_band.size - start >= min_run:
-        runs.append((start, in_band.size))
-    return runs
+def _plateau_runs(in_band: np.ndarray, min_run: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end frames of the in-band runs at least ``min_run`` long."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], in_band, [False]))))
+    starts, ends = edges.reshape(-1, 2).T
+    keep = ends - starts >= min_run
+    return starts[keep], ends[keep]
 
 
 def _min_run_frames(track: FrequencyTrack, alphabet: SymbolAlphabet) -> int:
@@ -183,43 +148,42 @@ def _min_run_frames(track: FrequencyTrack, alphabet: SymbolAlphabet) -> int:
     return max(2, int(round(_MIN_PLATEAU_FRACTION * alphabet.symbol_period / frame_dt)))
 
 
-def _segment(track: FrequencyTrack, center: float, halfwidth: float,
-             min_run: int) -> list[tuple[int, int]]:
-    """Data-slot frame ranges: the gaps between delimiter plateaus."""
-    in_band = np.abs(track.frequencies - center) <= halfwidth
-    delim_runs = _plateau_runs(in_band, min_run)
-    if not delim_runs:
-        raise FramingError("no delimiter structure found in track")
-    slots = []
-    for (_, gap_start), (gap_end, _) in zip(delim_runs, delim_runs[1:]):
-        if gap_end - gap_start >= min_run:
-            slots.append((gap_start, gap_end))
-    return slots
-
-
-def _central(start: int, end: int) -> tuple[int, int]:
+def _central(start: int, end: int) -> slice:
     """Trim the outer quarters of a slot, where fade tails live."""
     cut = (end - start) // 4
-    return start + cut, end - cut
+    return slice(start + cut, end - cut)
+
+
+def _slots(track: FrequencyTrack, center: float, halfwidth: float,
+           min_run: int) -> list[SymbolSlot]:
+    """Data slots: the gaps of at least ``min_run`` frames between delimiter plateaus.
+
+    Slot statistics are medians over the central half of each slot so the
+    fade transitions on either side do not drag them toward the delimiter.
+    """
+    in_band = np.abs(track.frequencies - center) <= halfwidth
+    delim_starts, delim_ends = _plateau_runs(in_band, min_run)
+    if delim_starts.size == 0:
+        raise FramingError("no delimiter structure found in track")
+    gap_starts, gap_ends = delim_ends[:-1], delim_starts[1:]
+    keep = gap_ends - gap_starts >= min_run
+    slots = []
+    for start, end in zip(gap_starts[keep].tolist(), gap_ends[keep].tolist()):
+        central = _central(start, end)
+        slots.append(SymbolSlot(start, end,
+                                float(np.median(track.frequencies[central])),
+                                float(np.median(track.confidences[central]))))
+    return slots
 
 
 def symbol_slots(track: FrequencyTrack, calibration: Calibration,
                  alphabet: SymbolAlphabet) -> list[SymbolSlot]:
     """Segment a track into data slots using the calibrated delimiter band.
 
-    Slot statistics are medians over the central half of each slot so the
-    fade transitions on either side do not drag them toward the delimiter.
+    Each slot's frequency and confidence are medians over its central half.
     """
-    min_run = _min_run_frames(track, alphabet)
     halfwidth = _BAND_FRACTION * (calibration.f_one - calibration.f_zero)
-    ranges = _segment(track, calibration.threshold, halfwidth, min_run)
-    slots = []
-    for start, end in ranges:
-        lo, hi = _central(start, end)
-        slots.append(SymbolSlot(start, end,
-                                float(np.median(track.frequencies[lo:hi])),
-                                float(np.median(track.confidences[lo:hi]))))
-    return slots
+    return _slots(track, calibration.threshold, halfwidth, _min_run_frames(track, alphabet))
 
 
 def calibrate(track: FrequencyTrack, alphabet: SymbolAlphabet) -> Calibration:
@@ -241,26 +205,21 @@ def calibrate(track: FrequencyTrack, alphabet: SymbolAlphabet) -> Calibration:
     if not p90 > p10:
         raise CalibrationError("track shows no frequency spread to calibrate from")
 
-    slots_ranges = _segment(track, 0.5 * (p10 + p90), _BAND_FRACTION * (p90 - p10), min_run)
-    if len(slots_ranges) < PREAMBLE.size:
+    slots = _slots(track, 0.5 * (p10 + p90), _BAND_FRACTION * (p90 - p10), min_run)
+    if len(slots) < PREAMBLE.size:
         raise CalibrationError(
-            f"preamble region not found: {len(slots_ranges)} slots, need {PREAMBLE.size}")
-
-    medians = []
-    residuals = []
-    for start, end in slots_ranges[:PREAMBLE.size]:
-        lo, hi = _central(start, end)
-        freqs = track.frequencies[lo:hi]
-        med = float(np.median(freqs))
-        medians.append(med)
-        residuals.append(np.abs(freqs - med))
-    medians = np.array(medians)
+            f"preamble region not found: {len(slots)} slots, need {PREAMBLE.size}")
+    preamble = slots[:PREAMBLE.size]
+    medians = np.array([slot.frequency for slot in preamble])
     # preamble alternates 1,0,1,0,...: odd-numbered symbols carry ones
     f_one = float(np.median(medians[0::2]))
     f_zero = float(np.median(medians[1::2]))
     if f_one <= f_zero:
         raise CalibrationError("preamble plateaus are not ordered; cannot calibrate")
 
+    residuals = [np.abs(track.frequencies[_central(slot.start_frame, slot.end_frame)]
+                        - slot.frequency)
+                 for slot in preamble]
     jitter = 1.4826 * float(np.median(np.concatenate(residuals)))
     if f_one - f_zero <= 2.0 * jitter:
         raise CalibrationError(
@@ -281,13 +240,10 @@ def classify_symbols(track: FrequencyTrack, calibration: Calibration,
     as erasures rather than guessed.  ``bits[i]`` comes from ``slots[i]``.
     """
     slots = symbol_slots(track, calibration, alphabet)
-    bits = np.empty(len(slots), dtype=np.int8)
-    for i, slot in enumerate(slots):
-        if slot.confidence < confidence_floor:
-            bits[i] = ERASURE
-        else:
-            bits[i] = 1 if slot.frequency >= calibration.threshold else 0
-    return bits, slots
+    freqs = np.array([slot.frequency for slot in slots])
+    confs = np.array([slot.confidence for slot in slots])
+    bits = np.where(confs < confidence_floor, ERASURE, freqs >= calibration.threshold)
+    return bits.astype(np.int8), slots
 
 
 # ---------------------------------------------------------------------------
@@ -311,42 +267,37 @@ def decode_frame(bits, reference: bytes | None = None,
             raise DomainError("confidences must align with bits")
 
     n = bits.size
-    pre_len = PREAMBLE.size
-    sync = None
-    for offset in range(n - pre_len + 1):
-        if int(np.count_nonzero(bits[offset:offset + pre_len] == PREAMBLE)) >= SYNC_THRESHOLD:
-            sync = offset
-            break
-    if sync is None:
+    matches = np.zeros(0, dtype=np.intp)
+    if n >= PREAMBLE.size:
+        matches = np.count_nonzero(sliding_window_view(bits, PREAMBLE.size) == PREAMBLE,
+                                   axis=1)
+    synced = np.flatnonzero(matches >= SYNC_THRESHOLD)
+    if synced.size == 0:
         raise SyncError("preamble not found in recovered bits")
+    sync = int(synced[0])
 
-    pos = sync + pre_len
+    pos = sync + PREAMBLE.size
     if pos + 8 > n:
         raise TruncationError("bits end before the length field")
-    length = _bits_to_int(bits[pos:pos + 8])
+    # erasures read as 0 in the length field and the payload bytes
+    length = int(np.packbits(bits[pos:pos + 8] == 1)[0])
     pos += 8
     end = pos + 9 * length
     if end > n:
         raise TruncationError(
             f"length field says {length} bytes but only {n - pos} bits remain")
 
-    payload = bytearray()
-    data_bits = []
-    parity_failures = 0
-    for _ in range(length):
-        group = bits[pos:pos + 9]
-        payload.append(_bits_to_int(group[:8]))
-        data_bits.extend(group[:8])
-        clean = not np.any(group == ERASURE)
-        if not (clean and int(np.count_nonzero(group == 1)) % 2 == 0):
-            parity_failures += 1
-        pos += 9
+    groups = bits[pos:end].reshape(length, 9)
+    data = groups[:, :8]
+    clean = np.all(groups != ERASURE, axis=1)
+    even = np.count_nonzero(groups == 1, axis=1) % 2 == 0
+    parity_failures = int(np.count_nonzero(~(clean & even)))
 
     ber = None
     if reference is not None:
-        ref_bits = np.array([bit for byte in reference for bit in _byte_bits(byte)],
-                            dtype=np.int8)
-        got_bits = np.array(data_bits, dtype=np.int8)
+        ref_bits = np.unpackbits(np.frombuffer(bytes(reference), dtype=np.uint8))
+        # raw data bits, so an erased bit never matches the reference
+        got_bits = data.ravel()
         total = ref_bits.size
         if total == 0:
             ber = 0.0
@@ -362,7 +313,7 @@ def decode_frame(bits, reference: bytes | None = None,
 
     return DecodeReport(
         bits=bits,
-        payload=bytes(payload),
+        payload=np.packbits(data == 1, axis=1).tobytes(),
         frames_ok=1 if parity_failures == 0 else 0,
         parity_failures=parity_failures,
         ber=ber,

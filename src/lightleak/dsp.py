@@ -69,11 +69,16 @@ def _as_samples(samples, sample_rate):
     return np.asarray(samples), float(sample_rate)
 
 
-def _check_framing(n: int, window_length: int, hop: int) -> int:
+def check_framing(window_length: int, hop: int) -> None:
+    """Reject a window length that is not a power of two >= 2, or a hop below 1."""
     if window_length < 2 or window_length & (window_length - 1):
         raise DomainError(f"window_length must be a power of two >= 2, got {window_length}")
     if hop < 1:
         raise DomainError(f"hop must be >= 1, got {hop}")
+
+
+def _frame_count(n: int, window_length: int, hop: int) -> int:
+    check_framing(window_length, hop)
     if n < window_length:
         raise DomainError(f"input has {n} samples, need at least one window ({window_length})")
     return (n - window_length) // hop + 1
@@ -87,7 +92,7 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     ``window/2 + 1`` magnitude bins.  Frame times mark window centres.
     """
     x, fs = _as_samples(samples, sample_rate)
-    n_frames = _check_framing(x.size, window_length, hop)
+    n_frames = _frame_count(x.size, window_length, hop)
     window = hann_window(window_length)
     frames_view = sliding_window_view(x, window_length)[::hop][:n_frames]
 
@@ -102,39 +107,34 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     return Spectrogram(window_length, hop, fs, mags, times)
 
 
-def _parabolic_offset(m_left: float, m_peak: float, m_right: float) -> float:
-    """Sub-bin peak offset from a 3-point parabola on log magnitudes."""
-    if m_left <= 0.0 or m_peak <= 0.0 or m_right <= 0.0:
-        return 0.0
-    a, b, c = np.log(m_left), np.log(m_peak), np.log(m_right)
-    denom = a - 2.0 * b + c
-    if denom >= 0.0:
-        return 0.0
-    delta = 0.5 * (a - c) / denom
-    return float(np.clip(delta, -0.5, 0.5))
-
-
 def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     """Per-frame dominant frequency via argmax plus parabolic refinement.
 
+    The sub-bin offset comes from a 3-point parabola on the log magnitudes
+    around the peak, clipped to half a bin; it is 0 at the band edges, when a
+    neighbour is zero, or when the log magnitudes do not curve downward.
     Confidence is the peak magnitude over the frame's mean magnitude, a
     scale-free measure of how tonal the frame is.
     """
     if spec.n_frames == 0:
         raise DomainError("spectrogram has no frames")
     mags = spec.frames
-    peaks = np.argmax(mags, axis=1)
-    freqs = np.empty(spec.n_frames, dtype=np.float64)
-    confs = np.empty(spec.n_frames, dtype=np.float64)
     n_bins = mags.shape[1]
-    for i, k in enumerate(peaks):
-        row = mags[i]
-        delta = 0.0
-        if 0 < k < n_bins - 1:
-            delta = _parabolic_offset(row[k - 1], row[k], row[k + 1])
-        freqs[i] = (k + delta) * spec.bin_width
-        mean = row.mean()
-        confs[i] = row[k] / mean if mean > 0.0 else 0.0
+    rows = np.arange(spec.n_frames)
+    peaks = np.argmax(mags, axis=1)
+    # edge peaks gather from a clipped index; `refine` then discards them
+    inner = np.clip(peaks, 1, n_bins - 2)
+    left, centre, right = (mags[rows, inner + d] for d in (-1, 0, 1))
+    refine = (peaks > 0) & (peaks < n_bins - 1) & (left > 0.0) & (centre > 0.0) & (right > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c = np.log(left), np.log(centre), np.log(right)
+        denom = a - 2.0 * b + c
+        delta = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
+    delta = np.where(refine & (denom < 0.0), delta, 0.0)
+    freqs = (peaks + delta) * spec.bin_width
+
+    means = mags.mean(axis=1)
+    confs = np.divide(mags[rows, peaks], means, out=np.zeros_like(means), where=means > 0.0)
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
@@ -149,7 +149,7 @@ def zero_crossing_frequency(samples, window_length: int, hop: int,
     """
     x, fs = _as_samples(samples, sample_rate)
     x = x.astype(np.float64, copy=False)
-    n_frames = _check_framing(x.size, window_length, hop)
+    n_frames = _frame_count(x.size, window_length, hop)
     duration = window_length / fs
 
     freqs = np.zeros(n_frames, dtype=np.float64)

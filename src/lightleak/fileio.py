@@ -23,6 +23,8 @@ MAGIC = b"LLTRACE\x00"
 VERSION = 1
 
 _HEADER = struct.Struct("<8sHBBddQ")
+#: byte offset of the trace kind field in the header
+KIND_OFFSET = 10
 
 _KIND_BY_CLASS = {LevelTrace: 1, PwmTrace: 2, IntensityTrace: 3, SensorTrace: 4}
 _CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
@@ -59,7 +61,7 @@ def import_trace(path):
     if version != VERSION:
         raise TraceFormatError(f"unsupported trace version {version}", 8)
     if kind not in _CLASS_BY_KIND:
-        raise TraceFormatError(f"unknown trace kind {kind}", 10)
+        raise TraceFormatError(f"unknown trace kind {kind}", KIND_OFFSET)
     if encoding not in _DTYPE_BY_ENC:
         raise TraceFormatError(f"unknown value encoding {encoding}", 11)
     dtype = _DTYPE_BY_ENC[encoding]
@@ -87,26 +89,6 @@ def export_spectrogram(spec: Spectrogram, path) -> None:
             f"frames={spec.n_frames} bins={spec.frames.shape[1]}\n")
         for t, row in zip(spec.frame_times, spec.frames):
             fh.write(" ".join([f"{t:.9e}"] + [f"{m:.9e}" for m in row]) + "\n")
-
-
-def import_spectrogram(path) -> Spectrogram:
-    """Parse a spectrogram table written by `export_spectrogram`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise TraceFormatError("missing spectrogram header line", 0)
-        meta = dict(item.split("=", 1) for item in header[2:].split())
-        rows = [np.array(line.split(), dtype=np.float64) for line in fh if line.strip()]
-    window_length = int(meta["window_length"])
-    hop = int(meta["hop"])
-    sample_rate = float(meta["sample_rate"])
-    if rows:
-        table = np.vstack(rows)
-        times, mags = table[:, 0], table[:, 1:]
-    else:
-        times = np.zeros(0)
-        mags = np.zeros((0, window_length // 2 + 1))
-    return Spectrogram(window_length, hop, sample_rate, mags, times)
 
 
 def export_schedule(schedule: CommandSchedule, path) -> None:

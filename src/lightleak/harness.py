@@ -24,7 +24,7 @@ from . import bulb, channel, codec, dsp
 from .bulb import CommandSchedule
 from .codec import DecodeReport
 from .config import ChannelConfig, SymbolAlphabet
-from .errors import CalibrationError, ConfigError, LightLeakError
+from .errors import CalibrationError, ConfigError, DomainError, LightLeakError
 from .traces import SensorTrace
 
 DEFAULT_WINDOW_LENGTH = 4096
@@ -42,7 +42,6 @@ SWEEPABLE_PARAMETERS = ("noise_sigma", "distance", "window_length",
 class RunResult:
     """One end-to-end transmission, decoded."""
 
-    config: dict
     payload: bytes
     report: DecodeReport
     simulated_duration: float
@@ -97,15 +96,6 @@ def _stage(name: str):
         raise
 
 
-def _snapshot(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes,
-              window_length: int, hop: int, tracker: str) -> dict:
-    snap = {f: getattr(config, f) for f in config.__dataclass_fields__}
-    snap.update({f: getattr(alphabet, f) for f in alphabet.__dataclass_fields__})
-    snap.update(window_length=window_length, hop=hop, tracker=tracker,
-                payload_hex=payload.hex())
-    return snap
-
-
 def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
                         window_length: int) -> None:
     """Validate command-rate compliance; warn when fades crowd the slots."""
@@ -123,10 +113,19 @@ def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
 
 
 def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
-    """Validate the tracker name and return the hop, defaulting to half a window."""
+    """Validate the receiver settings and return the hop, defaulting to half a window.
+
+    Runs before anything is rendered or read, so a bad window length or hop
+    is a `ConfigError` rather than a failure at the track stage.
+    """
     if tracker not in CONFIDENCE_FLOORS:
         raise ConfigError(f"unknown tracker {tracker!r}")
-    return window_length // 2 if hop is None else hop
+    hop = window_length // 2 if hop is None else hop
+    try:
+        dsp.check_framing(window_length, hop)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return hop
 
 
 def link_duration(schedule: CommandSchedule, config: ChannelConfig,
@@ -189,7 +188,6 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
         sensor = channel.simulate_link(schedule, config, duration)
     report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload)
     return RunResult(
-        config=_snapshot(config, alphabet, payload, window_length, hop, tracker),
         payload=payload,
         report=report,
         simulated_duration=duration,

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, file transparency."""
 
+import numpy as np
 import pytest
 
-from lightleak import cli, fileio
+from lightleak import channel, cli, fileio
+from lightleak.traces import LevelTrace
 
 FAST_CONFIG = """\
 # cheap clean link for CLI tests
@@ -124,8 +126,11 @@ def test_spectrogram_table(config_file, tmp_path):
     rc = cli.main(["spectrogram", "--trace", str(trace_path), "--config", config_file,
                    "--out", str(table_path)])
     assert rc == cli.EXIT_OK
-    spec = fileio.import_spectrogram(table_path)
-    assert spec.n_frames > 0
+    lines = table_path.read_text().strip().split("\n")
+    assert lines[0].startswith("# window_length=4096 hop=2048 ")
+    frames = int(lines[0].split("frames=")[1].split()[0])
+    assert frames > 0
+    assert len(lines) == frames + 1
 
 
 def test_sweep_table(config_file, tmp_path):
@@ -225,3 +230,38 @@ def test_decode_calibration_failure_names_stage(config_file, tmp_path, capsys):
     err = _one_line_error(capsys)
     assert err.startswith("CalibrationError")
     assert err.endswith("[stage: calibrate]")
+
+
+@pytest.mark.parametrize("command, fragment", [
+    (["simulate", "--payload-hex", "41", "--set", "window_length=1000"],
+     "config error: window_length"),
+    (["simulate", "--payload-hex", "41", "--set", "hop=0"], "config error: hop"),
+    (["simulate", "--payload-hex", "00" * 256], "config error: --payload-hex"),
+    (["transmit", "--payload-hex", "00" * 256, "--out", "{tmp}/s.txt"],
+     "config error: --payload-hex"),
+    (["decode", "--trace", "{level}"], "input error: "),
+    (["spectrogram", "--trace", "{level}", "--out", "{tmp}/spec.txt"], "input error: "),
+    (["render", "--schedule", "{sched}", "--duration", "0", "--out", "{tmp}/t.bin"],
+     "config error: --duration"),
+    (["render", "--schedule", "{sched}", "--duration", "-1", "--out", "{tmp}/t.bin"],
+     "config error: --duration"),
+    (["render", "--schedule", "{sched}", "--duration", "0.5", "--out", "{tmp}/t.bin"],
+     "config error: --duration"),
+])
+def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
+                                             capsys, monkeypatch):
+    level = tmp_path / "level.bin"
+    fileio.export_trace(LevelTrace(10_000_000.0, np.full(8192, 137.0)), level)
+    sched = tmp_path / "sched.txt"
+    sched.write_text("# initial_level=137\n0.5 135\n")  # needs >= 0.501 s
+
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered despite bad input")
+
+    monkeypatch.setattr(channel, "simulate_link", no_render)
+    argv = [a.format(tmp=tmp_path, level=level, sched=sched) for a in command]
+    assert cli.main(argv + ["--config", config_file]) == cli.EXIT_CONFIG_ERROR
+    err = _one_line_error(capsys)
+    assert err.startswith(fragment)
+    if "{level}" in command:
+        assert "LevelTrace" in err

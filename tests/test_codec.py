@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lightleak as ll
 from lightleak import codec
@@ -311,6 +313,53 @@ class TestDecodeFrame:
         report = decode_frame(bits, reference=payload, confidences=confs)
         assert report.mean_confidence == pytest.approx(8.0)
         assert decode_frame(bits, reference=payload).mean_confidence is None
+
+
+#: first payload bit of an encoded frame: after the preamble and the length byte
+DATA_START = PREAMBLE.size + 8
+payloads = st.binary(min_size=1, max_size=codec.MAX_PAYLOAD)
+
+
+class TestFrameProperties:
+    @settings(deadline=None)
+    @given(st.binary(max_size=codec.MAX_PAYLOAD))
+    def test_round_trip(self, payload):
+        report = decode_frame(encode_frame(payload), reference=payload)
+        assert report.payload == payload
+        assert report.parity_failures == 0
+        assert report.frames_ok == 1
+        assert report.ber == 0.0
+
+    @settings(deadline=None)
+    @given(payloads, st.data(), st.sets(st.integers(0, 7), min_size=1))
+    def test_flipped_bits_of_one_byte(self, payload, data, flipped):
+        byte = data.draw(st.integers(0, len(payload) - 1))
+        bits = encode_frame(payload)
+        bits[DATA_START + 9 * byte + np.array(sorted(flipped))] ^= 1
+        report = decode_frame(bits, reference=payload)
+        k = len(flipped)
+        assert report.parity_failures == k % 2
+        assert report.ber == k / (8 * len(payload))
+
+    @settings(deadline=None)
+    @given(payloads, st.data(), st.integers(0, 8))
+    def test_single_erasure_in_a_group(self, payload, data, position):
+        byte = data.draw(st.integers(0, len(payload) - 1))
+        bits = encode_frame(payload)
+        bits[DATA_START + 9 * byte + position] = ERASURE
+        report = decode_frame(bits, reference=payload)
+        assert report.parity_failures == 1
+        # an erased data bit is a bit error; an erased parity bit is not
+        assert report.ber == (position < 8) / (8 * len(payload))
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=16), st.sets(st.integers(0, PREAMBLE.size - 1), max_size=2))
+    def test_up_to_two_preamble_erasures_sync(self, payload, erased):
+        bits = encode_frame(payload)
+        bits[sorted(erased)] = ERASURE
+        report = decode_frame(bits, reference=payload)
+        assert report.payload == payload
+        assert report.ber == 0.0
 
 
 class TestBitText:

@@ -6,6 +6,7 @@ import pytest
 from conftest import synth_square
 
 from lightleak import (
+    Spectrogram,
     dominant_frequency,
     hann_window,
     stft,
@@ -134,6 +135,38 @@ class TestDominantFrequency:
             x = np.sin(2 * np.pi * f0 * t)
             track = dominant_frequency(stft(x, 2048, 1024, sample_rate=FS))
             assert np.all(np.abs(track.frequencies - f0) < 0.5 * bin_width)
+
+
+    def test_matches_per_frame_reference(self):
+        # the per-frame loop the vectorised tracker replaced, kept as the oracle
+        def reference(spec):
+            freqs, confs = [], []
+            for row in spec.frames:
+                k = int(np.argmax(row))
+                delta = 0.0
+                if 0 < k < row.size - 1 and min(row[k - 1], row[k], row[k + 1]) > 0.0:
+                    a, b, c = np.log(row[k - 1]), np.log(row[k]), np.log(row[k + 1])
+                    denom = a - 2.0 * b + c
+                    if denom < 0.0:
+                        delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+                freqs.append((k + delta) * spec.bin_width)
+                mean = row.mean()
+                confs.append(row[k] / mean if mean > 0.0 else 0.0)
+            return np.array(freqs), np.array(confs)
+
+        rng = np.random.default_rng(9)
+        x = synth_square(423_500.0, FS, 40_960) + 0.3 * rng.standard_normal(40_960)
+        mags = stft(x, 256, 128, sample_rate=FS).frames.copy()
+        mags[0] = 0.0                      # flat frame: no peak, zero mean
+        mags[1, 0] = mags[1].max() + 1.0   # peak on the first bin
+        mags[2, -1] = mags[2].max() + 1.0  # peak on the last bin
+        mags[3, 40:43] = [0.0, 9e3, 1.0]   # a zero neighbour
+        mags[4, 40:43] = [1.0, 9e3, 9e3 - 1.0]
+        spec = Spectrogram(256, 128, FS, mags, np.arange(mags.shape[0]) / FS)
+        track = dominant_frequency(spec)
+        freqs, confs = reference(spec)
+        assert np.array_equal(track.frequencies, freqs)
+        assert np.array_equal(track.confidences, confs)
 
 
 class TestZeroCrossing:
