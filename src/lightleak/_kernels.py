@@ -12,6 +12,13 @@ loop; the ``*_numpy`` variant is vectorised numpy/scipy.  Both variants are
 written so that they execute the same IEEE-754 operations in the same order,
 and the test suite asserts their outputs are bit-identical.
 
+The kernels render one block of a longer trace at a time.  ``level_fill`` and
+``pwm_wave`` take the absolute index of the block's first sample, and
+``pwm_wave``, ``lowpass`` and ``square_wave`` take the state the previous
+block ended in (latched duty, filter output, oscillator phase); ``pwm_wave``
+and ``square_wave`` return their end state with the block.  Rendering a
+trace block by block therefore gives the same bits as one pass over it.
+
 Backend selection happens once at import time: setting ``LIGHTLEAK_NO_NUMBA=1``
 in the environment, or numba not being installed (it is the optional
 ``numba`` extra), silently selects the numpy path.
@@ -49,49 +56,58 @@ BACKEND = "numba" if _HAVE_NUMBA else "numpy"
 
 
 def level_fill_numpy(bounds: np.ndarray, t0s: np.ndarray, spans: np.ndarray,
-                     v0s: np.ndarray, dvs: np.ndarray, dt: float) -> np.ndarray:
-    """Sample piecewise-linear segments onto a uniform grid.
+                     v0s: np.ndarray, dvs: np.ndarray, dt: float,
+                     start: int, stop: int) -> np.ndarray:
+    """Sample piecewise-linear segments onto samples ``start:stop`` of a uniform grid.
 
     Segment ``j`` covers samples ``bounds[j]:bounds[j+1]`` and ramps from
     ``v0s[j]`` over ``spans[j]`` seconds starting at ``t0s[j]``; the ramp
     fraction is clamped to [0, 1] so a segment holds its end value once the
-    ramp completes.
+    ramp completes.  Sample ``i`` sits at ``i * dt`` whatever block it is
+    rendered in.
     """
-    n = int(bounds[-1])
-    out = np.empty(n, dtype=np.float64)
-    for j in range(t0s.size):
-        lo, hi = int(bounds[j]), int(bounds[j + 1])
+    out = np.empty(stop - start, dtype=np.float64)
+    first = int(np.searchsorted(bounds, start, side="right")) - 1
+    last = int(np.searchsorted(bounds, stop, side="left"))
+    for j in range(max(first, 0), min(last, t0s.size)):
+        lo, hi = max(int(bounds[j]), start), min(int(bounds[j + 1]), stop)
         if hi <= lo:
             continue
         if dvs[j] == 0.0:
-            out[lo:hi] = v0s[j]
+            out[lo - start:hi - start] = v0s[j]
             continue
         t = np.arange(lo, hi, dtype=np.float64) * dt
         frac = np.clip((t - t0s[j]) / spans[j], 0.0, 1.0)
-        out[lo:hi] = v0s[j] + dvs[j] * frac
+        out[lo - start:hi - start] = v0s[j] + dvs[j] * frac
     return out
 
 
-def pwm_wave_numpy(levels: np.ndarray, step: float) -> np.ndarray:
-    """PWM waveform from per-sample levels; ``step = pwm_frequency / sample_rate``.
+def pwm_wave_numpy(levels: np.ndarray, step: float, start: int,
+                   duty: float) -> tuple[np.ndarray, float]:
+    """PWM waveform of samples ``start:start + levels.size``.
 
-    The duty for each PWM period is latched from the level at the period's
-    first sample (zero-order hold).  Sample ``i`` sits at phase ``i * step``
-    PWM periods; it is on while the within-period phase is below the duty.
-    Computing the phase directly from the index keeps long traces drift-free.
+    ``step = pwm_frequency / sample_rate``.  The duty for each PWM period is
+    latched from the level at the period's first sample (zero-order hold).
+    Sample ``i`` sits at phase ``i * step`` PWM periods; it is on while the
+    within-period phase is below the duty.  Computing the phase directly from
+    the index keeps long traces drift-free.  ``duty`` is the duty latched by
+    the period open at sample ``start - 1``; the duty latched by the period
+    open at the last sample is returned with the waveform, for the next block.
     """
     n = levels.size
     if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    phase = np.arange(n, dtype=np.float64) * step
+        return np.zeros(0, dtype=np.uint8), duty
+    phase = np.arange(start, start + n, dtype=np.float64) * step
     period = np.floor(phase)
     frac = phase - period
     # period indices are non-decreasing, so run starts mark period starts
     starts = np.flatnonzero(period[1:] != period[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    counts = np.diff(np.append(starts, n))
-    duty = np.repeat(levels[starts] / 255.0, counts)
-    return (frac < duty).astype(np.uint8)
+    # the first run continues the previous block's period unless one starts here
+    if start == 0 or np.floor((start - 1) * step) != period[0]:
+        duty = levels[0] / 255.0
+    duties = np.concatenate(([duty], levels[starts] / 255.0))
+    counts = np.diff(np.concatenate(([0], starts, [n])))
+    return (frac < np.repeat(duties, counts)).astype(np.uint8), float(duties[-1])
 
 
 def lowpass_numpy(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:
@@ -104,16 +120,23 @@ def lowpass_numpy(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:
     return y
 
 
-def square_wave_numpy(freq: np.ndarray, sample_rate: float) -> np.ndarray:
+def square_wave_numpy(freq: np.ndarray, sample_rate: float,
+                      phi: float) -> tuple[np.ndarray, float]:
     """Square wave from an instantaneous-frequency trace via phase accumulation.
 
-    Accumulates ``phi += freq[i] / sample_rate`` and toggles the output each
-    time ``phi`` crosses a half-integer; the wave starts low.
+    Accumulates ``phi += freq[i] / sample_rate`` from the phase ``phi`` of
+    the previous sample and toggles the output each time the phase crosses a
+    half-integer; from phase 0 the wave starts low.  Returns the wave and the
+    phase at its last sample.
     """
     if freq.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    phi = np.cumsum(freq / sample_rate)
-    return (np.floor(2.0 * phi) % 2.0).astype(np.uint8)
+        return np.zeros(0, dtype=np.uint8), phi
+    steps = freq / sample_rate
+    # cumsum adds left to right, so folding phi into the first step is the
+    # same sum as carrying it through a single pass
+    steps[0] += phi
+    phase = np.cumsum(steps)
+    return (np.floor(2.0 * phase).astype(np.int64) & 1).astype(np.uint8), float(phase[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +145,13 @@ def square_wave_numpy(freq: np.ndarray, sample_rate: float) -> np.ndarray:
 if _HAVE_NUMBA:
 
     @njit(cache=True)
-    def level_fill_numba(bounds, t0s, spans, v0s, dvs, dt):
-        n = bounds[-1]
-        out = np.empty(n, dtype=np.float64)
+    def level_fill_numba(bounds, t0s, spans, v0s, dvs, dt, start, stop):
+        out = np.empty(stop - start, dtype=np.float64)
         for j in range(t0s.size):
-            lo, hi = bounds[j], bounds[j + 1]
+            lo, hi = max(bounds[j], start), min(bounds[j + 1], stop)
             if dvs[j] == 0.0:
                 for i in range(lo, hi):
-                    out[i] = v0s[j]
+                    out[i - start] = v0s[j]
                 continue
             for i in range(lo, hi):
                 frac = (i * dt - t0s[j]) / spans[j]
@@ -137,24 +159,23 @@ if _HAVE_NUMBA:
                     frac = 0.0
                 elif frac > 1.0:
                     frac = 1.0
-                out[i] = v0s[j] + dvs[j] * frac
+                out[i - start] = v0s[j] + dvs[j] * frac
         return out
 
     @njit(cache=True)
-    def pwm_wave_numba(levels, step):
+    def pwm_wave_numba(levels, step, start, duty):
         n = levels.size
         out = np.zeros(n, dtype=np.uint8)
-        current_period = -1.0
-        duty = 0.0
+        current_period = np.floor((start - 1) * step) if start > 0 else -1.0
         for i in range(n):
-            phase = i * step
+            phase = (start + i) * step
             period = np.floor(phase)
             if period != current_period:
                 current_period = period
                 duty = levels[i] / 255.0
             if phase - period < duty:
                 out[i] = 1
-        return out
+        return out, duty
 
     @njit(cache=True)
     def lowpass_numba(x, alpha, y0):
@@ -169,14 +190,13 @@ if _HAVE_NUMBA:
         return out
 
     @njit(cache=True)
-    def square_wave_numba(freq, sample_rate):
+    def square_wave_numba(freq, sample_rate, phi):
         n = freq.size
         out = np.empty(n, dtype=np.uint8)
-        phi = 0.0
         for i in range(n):
             phi += freq[i] / sample_rate
             out[i] = np.uint8(np.int64(np.floor(2.0 * phi)) & 1)
-        return out
+        return out, phi
 
     level_fill = level_fill_numba
     pwm_wave = pwm_wave_numba

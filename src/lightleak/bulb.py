@@ -187,9 +187,32 @@ def check_duration(schedule: CommandSchedule, config: ChannelConfig,
                 f"fade ({need} s)")
 
 
-def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
-                       duration: float) -> LevelTrace:
-    """Sample the effective brightness level over ``[0, duration)``.
+def sample_count(config: ChannelConfig, duration: float) -> int:
+    """Samples in ``[0, duration)`` at the configured sample rate."""
+    return int(round(duration * config.sample_rate))
+
+
+class LevelPlan(NamedTuple):
+    """The fade segments of a schedule, segment ``j`` owning samples
+    ``bounds[j]:bounds[j+1]`` of a ``n``-sample render."""
+
+    n: int
+    bounds: np.ndarray
+    t0s: np.ndarray
+    spans: np.ndarray
+    v0s: np.ndarray
+    dvs: np.ndarray
+    dt: float
+
+    def render(self, start: int, stop: int) -> np.ndarray:
+        """Effective level at samples ``start:stop``."""
+        return _kernels.level_fill(self.bounds, self.t0s, self.spans, self.v0s,
+                                   self.dvs, self.dt, start, stop)
+
+
+def level_plan(schedule: CommandSchedule, config: ChannelConfig,
+               duration: float) -> LevelPlan:
+    """Lay the schedule's fades onto the sample grid of ``[0, duration)``.
 
     The level before the first command is ``schedule.initial_level``; each
     command starts a linear fade (``config.fade_duration``) from the current
@@ -197,9 +220,7 @@ def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
     level.
     """
     check_duration(schedule, config, duration)
-    n = int(round(duration * config.sample_rate))
-    dt = 1.0 / config.sample_rate
-
+    n = sample_count(config, duration)
     segments = _fade_segments(schedule, config.fade_duration)
     t0s = np.array([s[0] for s in segments])
     spans = np.array([s[1] - s[0] for s in segments])
@@ -210,27 +231,40 @@ def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
     bounds = np.clip(np.maximum.accumulate(bounds), 0, n)
     bounds = np.append(bounds, n)
     bounds[0] = 0
+    return LevelPlan(n, bounds, t0s, spans, v0s, dvs, 1.0 / config.sample_rate)
 
-    values = _kernels.level_fill(bounds, t0s, spans, v0s, dvs, dt)
-    return LevelTrace(config.sample_rate, values)
+
+def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
+                       duration: float) -> LevelTrace:
+    """Sample the effective brightness level over ``[0, duration)`` (see `level_plan`)."""
+    plan = level_plan(schedule, config, duration)
+    return LevelTrace(config.sample_rate, plan.render(0, plan.n))
+
+
+def pwm_step(config: ChannelConfig) -> float:
+    """PWM periods per sample, once the sample rate is checked to resolve them.
+
+    Requires the sample rate to oversample the PWM carrier by at least
+    ``PWM_RESOLUTION_FACTOR``.
+    """
+    if config.sample_rate < PWM_RESOLUTION_FACTOR * config.pwm_frequency:
+        raise ConfigError(
+            f"sample_rate must be >= {PWM_RESOLUTION_FACTOR:g} x pwm_frequency to "
+            f"resolve the PWM waveform ({config.sample_rate} < "
+            f"{PWM_RESOLUTION_FACTOR * config.pwm_frequency})")
+    return config.pwm_frequency / config.sample_rate
 
 
 def render_pwm(levels: LevelTrace, config: ChannelConfig) -> PwmTrace:
     """Render the LED on/off waveform for a level trace.
 
     The duty of each PWM period is latched from the level at the period start
-    (zero-order hold).  Requires the sample rate to oversample the PWM carrier
-    by at least ``PWM_RESOLUTION_FACTOR``; period boundaries are derived from
-    the sample index so long renders accumulate no phase drift.
+    (zero-order hold).  Period boundaries are derived from the sample index,
+    so long renders accumulate no phase drift.
     """
     if levels.sample_rate != config.sample_rate:
         raise ConfigError(
             f"level trace sample rate {levels.sample_rate} != config sample rate "
             f"{config.sample_rate}")
-    if config.sample_rate < PWM_RESOLUTION_FACTOR * config.pwm_frequency:
-        raise ConfigError(
-            f"sample_rate must be >= {PWM_RESOLUTION_FACTOR:g} x pwm_frequency to "
-            f"resolve the PWM waveform ({config.sample_rate} < "
-            f"{PWM_RESOLUTION_FACTOR * config.pwm_frequency})")
-    step = config.pwm_frequency / config.sample_rate
-    return PwmTrace(config.sample_rate, _kernels.pwm_wave(levels.values, step))
+    wave, _ = _kernels.pwm_wave(levels.values, pwm_step(config), 0, 0.0)
+    return PwmTrace(config.sample_rate, wave)

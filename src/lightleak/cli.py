@@ -11,14 +11,16 @@ Subcommands::
 
 Exit codes: 0 when the decode is clean (bit error rate 0, or no parity
 failures when no reference payload is known), 1 on decode errors, 2 on
-configuration errors.  ``--config`` reads a flat ``key = value`` file;
-``--set key=value`` overrides individual entries from the command line.
+configuration errors.  Warnings go to stderr as ``warning: <message>`` lines.
+``--config`` reads a flat ``key = value`` file; ``--set key=value`` overrides
+individual entries from the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import bulb, channel, codec, dsp, fileio, harness
 from .config import build_from_values, parse_config_text, read_config_file
@@ -215,9 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        # one "warning: ..." line per warning, not Python's location and source lines
+        warnings.showwarning = _print_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:

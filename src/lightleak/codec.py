@@ -145,6 +145,8 @@ def _min_run_frames(track: FrequencyTrack, alphabet: SymbolAlphabet) -> int:
     if len(track) < 2:
         raise FramingError("track too short to segment")
     frame_dt = float(np.median(np.diff(track.frame_times)))
+    if not (np.isfinite(frame_dt) and frame_dt > 0.0):
+        raise FramingError(f"track frame spacing must be a positive time, got {frame_dt} s")
     return max(2, int(round(_MIN_PLATEAU_FRACTION * alphabet.symbol_period / frame_dt)))
 
 

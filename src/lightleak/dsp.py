@@ -5,20 +5,23 @@ frames, removes each frame's mean (the square wave carries a large DC
 component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
-cross-check.
+cross-check.  Both take their frames off a stream of sample blocks, one batch
+of frames at a time, so a long capture never has to be held whole.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import traces
 from .errors import DomainError
 from .traces import SensorTrace
 
-#: frames per block when streaming the transform, keeps memory bounded
+#: frames per STFT batch; batches always start at a multiple of this frame
 _STFT_BLOCK = 512
 
 
@@ -61,12 +64,15 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
-def _as_samples(samples, sample_rate):
+def _as_blocks(samples, sample_rate) -> tuple[Iterable[np.ndarray], float]:
+    """Blocks and sample rate of a SensorTrace, a plain array or an iterator of blocks."""
     if isinstance(samples, SensorTrace):
-        return samples.values, samples.sample_rate
+        return traces.blocks(samples.values), samples.sample_rate
     if sample_rate is None:
-        raise DomainError("sample_rate is required for plain arrays")
-    return np.asarray(samples), float(sample_rate)
+        raise DomainError("sample_rate is required for plain arrays and block streams")
+    if isinstance(samples, Iterator):
+        return samples, float(sample_rate)
+    return traces.blocks(np.asarray(samples)), float(sample_rate)
 
 
 def check_framing(window_length: int, hop: int) -> None:
@@ -77,34 +83,91 @@ def check_framing(window_length: int, hop: int) -> None:
         raise DomainError(f"hop must be >= 1, got {hop}")
 
 
-def _frame_count(n: int, window_length: int, hop: int) -> int:
-    check_framing(window_length, hop)
-    if n < window_length:
-        raise DomainError(f"input has {n} samples, need at least one window ({window_length})")
-    return (n - window_length) // hop + 1
+def _segments(blocks: Iterable[np.ndarray], window_length: int,
+              hop: int) -> Iterator[np.ndarray]:
+    """The samples of consecutive batches of frames of a block stream.
+
+    Frame ``f`` is ``x[f*hop : f*hop + window_length]``.  Segment ``k``
+    holds exactly the samples of frames ``k*_STFT_BLOCK`` up to
+    ``(k+1)*_STFT_BLOCK`` (fewer in the last one), whatever the block size,
+    so its own frames are those frames.  Only the samples that later frames
+    still need are kept, so memory does not grow with the stream.  Raises
+    `DomainError` if the stream ends before one full window.
+    """
+    span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
+    step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
+    pending, held, seen, skip = [], 0, 0, 0
+    for block in blocks:
+        seen += block.size
+        if skip:  # a hop longer than the window jumps over these samples
+            block, skip = block[skip:], max(0, skip - block.size)
+        pending.append(block)
+        held += block.size
+        if held < span:
+            continue
+        buf = np.concatenate(pending)
+        first = 0
+        while first + span <= buf.size:
+            yield buf[first:first + span]
+            first += step
+        skip = max(0, first - buf.size)
+        pending = [buf[first:]]
+        held = pending[0].size
+    if seen < window_length:
+        raise DomainError(f"input has {seen} samples, need at least one window ({window_length})")
+    if held >= window_length:
+        yield np.concatenate(pending)
+
+
+def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
+    """Window centres of the first ``n_frames`` frames, in seconds."""
+    return (np.arange(n_frames) * hop + window_length / 2.0) / fs
+
+
+def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Magnitude spectra of a segment's frames, each mean-removed and windowed."""
+    block = sliding_window_view(segment, window.size)[::hop].astype(np.float64)
+    block -= block.mean(axis=1, keepdims=True)
+    block *= window
+    return np.abs(np.fft.rfft(block, axis=1))
 
 
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
     """Short-time Fourier transform with per-frame mean removal and Hann window.
 
-    ``samples`` may be a SensorTrace or a plain array (then ``sample_rate`` is
-    required).  Produces ``floor((N - window)/hop) + 1`` frames of
-    ``window/2 + 1`` magnitude bins.  Frame times mark window centres.
+    ``samples`` may be a SensorTrace, a plain array or an iterator of sample
+    blocks (then ``sample_rate`` is required).  Produces
+    ``floor((N - window)/hop) + 1`` frames of ``window/2 + 1`` magnitude
+    bins.  Frame times mark window centres.
     """
-    x, fs = _as_samples(samples, sample_rate)
-    n_frames = _frame_count(x.size, window_length, hop)
+    blocks, fs = _as_blocks(samples, sample_rate)
+    check_framing(window_length, hop)
     window = hann_window(window_length)
-    frames_view = sliding_window_view(x, window_length)[::hop][:n_frames]
-
-    mags = np.empty((n_frames, window_length // 2 + 1), dtype=np.float64)
-    for start in range(0, n_frames, _STFT_BLOCK):
-        block = frames_view[start:start + _STFT_BLOCK].astype(np.float64)
-        block -= block.mean(axis=1, keepdims=True)
-        block *= window
-        mags[start:start + _STFT_BLOCK] = np.abs(np.fft.rfft(block, axis=1))
-
-    times = (np.arange(n_frames) * hop + window_length / 2.0) / fs
+    mags = np.concatenate([_spectra(segment, window, hop)
+                           for segment in _segments(blocks, window_length, hop)])
+    times = _frame_times(mags.shape[0], window_length, hop, fs)
     return Spectrogram(window_length, hop, fs, mags, times)
+
+
+def _peaks(mags: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refined peak frequency and confidence of each row of magnitudes."""
+    n_bins = mags.shape[1]
+    rows = np.arange(mags.shape[0])
+    peaks = np.argmax(mags, axis=1)
+    # edge peaks gather from a clipped index; `refine` then discards them
+    inner = np.clip(peaks, 1, n_bins - 2)
+    left, centre, right = (mags[rows, inner + d] for d in (-1, 0, 1))
+    refine = (peaks > 0) & (peaks < n_bins - 1) & (left > 0.0) & (centre > 0.0) & (right > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c = np.log(left), np.log(centre), np.log(right)
+        denom = a - 2.0 * b + c
+        delta = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
+    delta = np.where(refine & (denom < 0.0), delta, 0.0)
+    freqs = (peaks + delta) * bin_width
+
+    means = mags.mean(axis=1)
+    confs = np.divide(mags[rows, peaks], means, out=np.zeros_like(means), where=means > 0.0)
+    return freqs, confs
 
 
 def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
@@ -118,24 +181,25 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     """
     if spec.n_frames == 0:
         raise DomainError("spectrogram has no frames")
-    mags = spec.frames
-    n_bins = mags.shape[1]
-    rows = np.arange(spec.n_frames)
-    peaks = np.argmax(mags, axis=1)
-    # edge peaks gather from a clipped index; `refine` then discards them
-    inner = np.clip(peaks, 1, n_bins - 2)
-    left, centre, right = (mags[rows, inner + d] for d in (-1, 0, 1))
-    refine = (peaks > 0) & (peaks < n_bins - 1) & (left > 0.0) & (centre > 0.0) & (right > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b, c = np.log(left), np.log(centre), np.log(right)
-        denom = a - 2.0 * b + c
-        delta = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
-    delta = np.where(refine & (denom < 0.0), delta, 0.0)
-    freqs = (peaks + delta) * spec.bin_width
-
-    means = mags.mean(axis=1)
-    confs = np.divide(mags[rows, peaks], means, out=np.zeros_like(means), where=means > 0.0)
+    freqs, confs = _peaks(spec.frames, spec.bin_width)
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
+
+
+def stft_track(samples, window_length: int, hop: int,
+               sample_rate: float | None = None) -> FrequencyTrack:
+    """``dominant_frequency(stft(...))``, one batch of STFT frames at a time.
+
+    Takes the same inputs as `stft` and gives the same track, but holds the
+    spectra of one batch of frames at a time rather than the whole
+    spectrogram.
+    """
+    blocks, fs = _as_blocks(samples, sample_rate)
+    check_framing(window_length, hop)
+    parts = [dominant_frequency(stft(segment, window_length, hop, fs))
+             for segment in _segments(blocks, window_length, hop)]
+    freqs = np.concatenate([part.frequencies for part in parts])
+    confs = np.concatenate([part.confidences for part in parts])
+    return FrequencyTrack(_frame_times(freqs.size, window_length, hop, fs), freqs, confs)
 
 
 def zero_crossing_frequency(samples, window_length: int, hop: int,
@@ -145,30 +209,30 @@ def zero_crossing_frequency(samples, window_length: int, hop: int,
     Frequency is the number of rising edges divided by the window duration
     (edges cross the window's min/max midpoint).  Confidence is
     ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
-    two edges report frequency 0 and confidence 0.
+    two edges report frequency 0 and confidence 0.  Takes the same inputs as
+    `stft`.
     """
-    x, fs = _as_samples(samples, sample_rate)
-    x = x.astype(np.float64, copy=False)
-    n_frames = _frame_count(x.size, window_length, hop)
+    blocks, fs = _as_blocks(samples, sample_rate)
+    check_framing(window_length, hop)
     duration = window_length / fs
+    rates = [_edge_rate(w, duration)
+             for segment in _segments(blocks, window_length, hop)
+             for w in sliding_window_view(segment.astype(np.float64), window_length)[::hop]]
+    freqs, confs = np.array(rates, dtype=np.float64).T.copy()
+    return FrequencyTrack(_frame_times(freqs.size, window_length, hop, fs), freqs, confs)
 
-    freqs = np.zeros(n_frames, dtype=np.float64)
-    confs = np.zeros(n_frames, dtype=np.float64)
-    for i in range(n_frames):
-        w = x[i * hop:i * hop + window_length]
-        lo, hi = w.min(), w.max()
-        if hi <= lo:
-            continue
-        thr = 0.5 * (lo + hi)
-        above = w >= thr
-        edges = np.flatnonzero(~above[:-1] & above[1:]) + 1
-        if edges.size < 2:
-            continue
-        freqs[i] = edges.size / duration
-        gaps = np.diff(edges).astype(np.float64)
-        mean_gap = gaps.mean()
-        conf = 1.0 - gaps.var() / (mean_gap * mean_gap)
-        confs[i] = float(np.clip(conf, 0.0, 1.0))
 
-    times = (np.arange(n_frames) * hop + window_length / 2.0) / fs
-    return FrequencyTrack(times, freqs, confs)
+def _edge_rate(w: np.ndarray, duration: float) -> tuple[float, float]:
+    """Rising-edge frequency and gap-regularity confidence of one window."""
+    lo, hi = w.min(), w.max()
+    if hi <= lo:
+        return 0.0, 0.0
+    thr = 0.5 * (lo + hi)
+    above = w >= thr
+    edges = np.flatnonzero(~above[:-1] & above[1:]) + 1
+    if edges.size < 2:
+        return 0.0, 0.0
+    gaps = np.diff(edges).astype(np.float64)
+    mean_gap = gaps.mean()
+    conf = 1.0 - gaps.var() / (mean_gap * mean_gap)
+    return edges.size / duration, float(np.clip(conf, 0.0, 1.0))

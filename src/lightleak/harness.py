@@ -3,8 +3,8 @@
 ``transmit`` frames the payload into a rate-limited brightness schedule;
 ``receive`` tracks a sensor trace's frequency, calibrates from the preamble,
 classifies symbols and decodes.  ``run_end_to_end`` joins the two through
-``channel.simulate_link``.  The CLI uses the same three pieces, so the file
-pipeline and the in-memory one cannot drift apart.  Everything is
+``channel.sensor_blocks``, block by block.  The CLI uses the same pieces, so
+the file pipeline and the in-memory one cannot drift apart.  Everything is
 deterministic given the config seed.
 
 ``sweep`` repeats that over one swept parameter with independent trial seeds,
@@ -25,7 +25,6 @@ from .bulb import CommandSchedule
 from .codec import DecodeReport
 from .config import ChannelConfig, SymbolAlphabet
 from .errors import CalibrationError, ConfigError, DomainError, LightLeakError
-from .traces import SensorTrace
 
 DEFAULT_WINDOW_LENGTH = 4096
 #: confidence floor per tracker; zero-crossing confidences live in [0, 1]
@@ -98,7 +97,11 @@ def _stage(name: str):
 
 def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
                         window_length: int) -> None:
-    """Validate command-rate compliance; warn when fades crowd the slots."""
+    """Validate command-rate compliance; warn when fades crowd the slots.
+
+    The warning names the line that called this function's caller, such as
+    the call to `run_end_to_end`.
+    """
     if alphabet.symbol_period < 1.0 / config.max_command_rate:
         raise ConfigError(
             f"symbol_period {alphabet.symbol_period} s beats the bridge rate limit "
@@ -109,7 +112,7 @@ def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
         warnings.warn(
             f"symbol_period {alphabet.symbol_period} s is shorter than the fade plus "
             f"two analysis windows ({settle:.6g} s); slots may not settle",
-            stacklevel=2)
+            stacklevel=3)
 
 
 def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
@@ -147,20 +150,22 @@ def transmit(config: ChannelConfig, alphabet: SymbolAlphabet,
     return schedule, link_duration(schedule, config, alphabet)
 
 
-def receive(sensor: SensorTrace, alphabet: SymbolAlphabet,
+def receive(sensor, alphabet: SymbolAlphabet,
             window_length: int = DEFAULT_WINDOW_LENGTH, hop: int | None = None,
-            tracker: str = "stft", reference: bytes | None = None) -> DecodeReport:
+            tracker: str = "stft", reference: bytes | None = None,
+            sample_rate: float | None = None) -> DecodeReport:
     """Track, calibrate, classify and decode a sensor trace.
 
-    ``reference``, when given, is the sent payload the bit error rate is
-    measured against.  Errors carry the failing stage in ``.stage``.
+    ``sensor`` is a SensorTrace, or an iterator of sample blocks at
+    ``sample_rate`` such as `channel.sensor_blocks` returns; the tracker
+    takes it one block at a time.  ``reference``, when given, is the sent
+    payload the bit error rate is measured against.  Errors carry the failing
+    stage in ``.stage``.
     """
     hop = check_receiver(window_length, hop, tracker)
+    track_frames = dsp.stft_track if tracker == "stft" else dsp.zero_crossing_frequency
     with _stage("track"):
-        if tracker == "stft":
-            track = dsp.dominant_frequency(dsp.stft(sensor, window_length, hop))
-        else:
-            track = dsp.zero_crossing_frequency(sensor, window_length, hop)
+        track = track_frames(sensor, window_length, hop, sample_rate)
     with _stage("calibrate"):
         calibration = codec.calibrate(track, alphabet)
     with _stage("classify"):
@@ -176,23 +181,26 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
                    hop: int | None = None, tracker: str = "stft") -> RunResult:
     """Transmit ``payload`` over the simulated link and decode it back.
 
-    Raises the failing stage's error (tagged with ``.stage``) rather than
-    returning garbage bits; a calibration failure therefore surfaces as
-    `CalibrationError`, not as a bogus decode.
+    The sensor blocks go straight from the channel into the receiver, so
+    memory stays flat however long the transmission is.  Raises the failing
+    stage's error (tagged with ``.stage``) rather than returning garbage
+    bits; a calibration failure therefore surfaces as `CalibrationError`,
+    not as a bogus decode.
     """
     hop = check_receiver(window_length, hop, tracker)
     check_symbol_timing(config, alphabet, window_length)
     started = time.perf_counter()
     schedule, duration = transmit(config, alphabet, payload)
     with _stage("render"):
-        sensor = channel.simulate_link(schedule, config, duration)
-    report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload)
+        sensor = channel.sensor_blocks(schedule, config, duration)
+    report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload,
+                     sample_rate=config.sample_rate)
     return RunResult(
         payload=payload,
         report=report,
         simulated_duration=duration,
         wall_time=time.perf_counter() - started,
-        samples_processed=len(sensor),
+        samples_processed=bulb.sample_count(config, duration),
     )
 
 

@@ -2,11 +2,14 @@
 
 All traces wrap a numpy array plus its sample rate.  They are treated as
 immutable: operations always build new traces and never mutate values in
-place, which keeps renders deterministic and thread-safe.
+place, which keeps renders deterministic and thread-safe.  A long trace can
+also travel as a stream of ``BLOCK_SAMPLES``-sample blocks, so that no stage
+holds all of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,3 +78,13 @@ class SensorTrace(_Trace):
     """Binary square wave emitted by the light-to-frequency sensor."""
 
     _dtype = np.uint8
+
+
+#: samples per block when a trace is rendered or received as a stream
+BLOCK_SAMPLES = 1 << 16
+
+
+def blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of ``BLOCK_SAMPLES`` samples (the last may be shorter)."""
+    for start in range(0, values.size, BLOCK_SAMPLES):
+        yield values[start:start + BLOCK_SAMPLES]

@@ -14,8 +14,8 @@ from lightleak import (
     sensor_response,
     simulate_link,
 )
-from lightleak import bulb
-from lightleak.errors import ConfigError
+from lightleak import bulb, channel, traces
+from lightleak.errors import ConfigError, DomainError
 
 
 def _all_on(config, seconds=0.001):
@@ -150,3 +150,39 @@ class TestSimulateLink:
         a = simulate_link(sched, cfg, 0.01)
         b = simulate_link(sched, cfg, 0.01)
         assert np.array_equal(a.values, b.values)
+
+
+class TestBlockEdges:
+    """The streamed render must not depend on where the block edges fall."""
+
+    # noise on; an off-grid PWM rate and fades that overlap one another
+    CONFIG = ChannelConfig(noise_sigma=0.01, rng_seed=3, fade_duration=0.0013,
+                           sensor_time_constant=0.0005, pwm_frequency=19_777.0,
+                           ambient_intensity=0.01)
+    SCHEDULE = CommandSchedule.from_pairs([(0.0011, 135), (0.0019, 180), (0.0052, 140)], 137)
+    DURATION = 0.0083
+
+    @pytest.mark.parametrize("block", [7919, 10_000_000])
+    def test_sensor_trace_independent_of_block_size(self, monkeypatch, block):
+        cfg, sched = self.CONFIG, self.SCHEDULE
+        default = simulate_link(sched, cfg, self.DURATION).values
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
+        edges = np.arange(block, default.size, block)
+        step = bulb.pwm_step(cfg)
+        # some block edge splits a PWM period, and the first fade spans edges
+        assert block > default.size or np.any(np.floor((edges - 1) * step)
+                                              == np.floor(edges * step))
+        assert block > default.size or np.count_nonzero(
+            (edges > 0.0011 * cfg.sample_rate) & (edges < 0.0024 * cfg.sample_rate)) >= 1
+        blocks = list(channel.sensor_blocks(sched, cfg, self.DURATION))
+        assert max(b.size for b in blocks) == min(block, default.size)
+        assert np.array_equal(np.concatenate(blocks), default)
+        assert np.array_equal(simulate_link(sched, cfg, self.DURATION).values, default)
+
+    def test_checks_before_the_first_block(self):
+        cfg = self.CONFIG
+        with pytest.raises(DomainError, match="does not cover"):
+            channel.sensor_blocks(self.SCHEDULE, cfg, 0.001)
+        with pytest.raises(ConfigError, match="resolve the PWM"):
+            channel.sensor_blocks(self.SCHEDULE, cfg.replace(pwm_frequency=200_000.0),
+                                  self.DURATION)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, file transparency."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,28 @@ def test_sweep_table(config_file, tmp_path):
     # identical flags and seed give a byte-identical table
     assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_warning_is_one_stderr_line(config_file, tmp_path, capsys):
+    # 8192-sample windows cannot settle within 0.75 ms symbols; 1024 ones can
+    args = ["sweep", "--parameter", "window_length", "--values", "1024,8192",
+            "--trials", "2", "--payload-hex", "96", "--config", config_file,
+            "--set", "symbol_period=0.00075", "--set", "max_command_rate=4000",
+            "--set", "fade_duration=0.00025"]
+    out = tmp_path / "sweep.txt"
+    assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: symbol_period 0.00075 s is shorter than the fade plus two analysis "
+        "windows (0.0018884 s); slots may not settle"]
+    # the table is the same whether or not the warning is shown
+    quiet = tmp_path / "quiet.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(args + ["--out", str(quiet)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == quiet.read_bytes()
 
 
 def test_render_explicit_duration(config_file, tmp_path):

@@ -183,6 +183,16 @@ class TestCalibrate:
             calibrate(track, ALPHABET)
 
 
+    def test_repeated_frame_times_fail_framing(self):
+        # zero median frame spacing has no symbol-length meaning
+        track = track_for_bits([1, 0])
+        stuck = FrequencyTrack(np.zeros(50), track.frequencies[:50], track.confidences[:50])
+        with pytest.raises(FramingError, match="frame spacing"):
+            calibrate(stuck, ALPHABET)
+        with pytest.raises(FramingError, match="frame spacing"):
+            codec.symbol_slots(stuck, TestClassifySymbols.CAL, ALPHABET)
+
+
 class TestClassifySymbols:
     CAL = Calibration(f_zero=423_500.0, f_one=439_200.0,
                       threshold=431_350.0, jitter=10.0)

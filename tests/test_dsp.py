@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import synth_square
 
 from lightleak import (
+    ChannelConfig,
+    CommandSchedule,
     Spectrogram,
     dominant_frequency,
     hann_window,
+    simulate_link,
     stft,
     zero_crossing_frequency,
 )
+from lightleak import channel, dsp, traces
 from lightleak.errors import DomainError
 
 FS = 10_000_000.0
@@ -196,3 +201,65 @@ class TestZeroCrossing:
         track = zero_crossing_frequency(x, 4096, 2048, sample_rate=FS)
         assert track.frequencies[0] == 0.0
         assert track.confidences[0] == 0.0
+
+
+def _tracks_equal(a, b):
+    return (np.array_equal(a.frame_times, b.frame_times)
+            and np.array_equal(a.frequencies, b.frequencies)
+            and np.array_equal(a.confidences, b.confidences))
+
+
+class TestBlockEdges:
+    """Frames and tracks must not depend on the block size of the input stream."""
+
+    CONFIG = ChannelConfig(noise_sigma=0.01, rng_seed=5, fade_duration=0.002,
+                           sensor_time_constant=0.0005, pwm_frequency=19_777.0)
+    SCHEDULE = CommandSchedule.from_pairs(
+        [(0.005, 135), (0.02, 140), (0.035, 137), (0.05, 135), (0.065, 137)], 137)
+    DURATION = 0.08
+
+    @pytest.fixture(scope="class")
+    def sensor(self):
+        return simulate_link(self.SCHEDULE, self.CONFIG, self.DURATION)
+
+    # the 8192 window is longer than a 7919 block; the 1500 hop is longer
+    # than its 1024 window; both give more than one batch of frames
+    @pytest.mark.parametrize("window, hop", [(8192, 1000), (1024, 1500)])
+    @pytest.mark.parametrize("block", [7919, 10_000_000])
+    def test_frames_and_tracks_independent_of_block_size(self, sensor, monkeypatch,
+                                                         window, hop, block):
+        spec = stft(sensor, window, hop)
+        assert spec.n_frames > dsp._STFT_BLOCK
+        track = dominant_frequency(spec)
+        zero = zero_crossing_frequency(sensor, window, hop)
+
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
+        got = stft(sensor, window, hop)
+        assert np.array_equal(got.frames, spec.frames)
+        assert np.array_equal(got.frame_times, spec.frame_times)
+        assert _tracks_equal(dsp.stft_track(sensor, window, hop), track)
+        assert _tracks_equal(zero_crossing_frequency(sensor, window, hop), zero)
+        stream = channel.sensor_blocks(self.SCHEDULE, self.CONFIG, self.DURATION)
+        assert _tracks_equal(dsp.stft_track(stream, window, hop, self.CONFIG.sample_rate),
+                             track)
+
+    # hops longer than the window skip samples between batches
+    @pytest.mark.parametrize("window, hop", [(4, 1), (4, 3), (8, 8), (4, 7), (16, 5), (2, 23)])
+    @pytest.mark.parametrize("block", [1, 2, 5, 13, 64, 1000])
+    def test_segments_hold_exactly_their_frames(self, monkeypatch, window, hop, block):
+        monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
+        x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
+        frames = [sliding_window_view(segment, window)[::hop]
+                  for segment in dsp._segments(traces.blocks(x), window, hop)]
+        assert [f.shape[0] for f in frames[:-1]] == [3] * (len(frames) - 1)
+        assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
+
+    def test_stream_shorter_than_a_window(self):
+        blocks = iter([np.zeros(100, dtype=np.uint8), np.ones(100, dtype=np.uint8)])
+        with pytest.raises(DomainError, match="input has 200 samples"):
+            dsp.stft_track(blocks, 256, 128, FS)
+
+    def test_stream_needs_sample_rate(self):
+        with pytest.raises(DomainError, match="sample_rate"):
+            dsp.stft_track(iter([np.zeros(1024)]), 256, 128)

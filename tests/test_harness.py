@@ -1,5 +1,7 @@
 """Pipeline orchestration, sweeps, and the on-disk formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,31 @@ class TestRunEndToEnd:
         result = ll.run_end_to_end(config, alphabet, b"\x41")
         assert result.report.ber == 0.0
         assert len(calls) == 1
+
+
+def _traced_peak(config, alphabet, payload) -> tuple[int, int]:
+    """Peak bytes traced (numpy buffers included) while one transmission runs,
+    and the samples it ran."""
+    tracemalloc.start()
+    try:
+        result = ll.run_end_to_end(config, alphabet, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.report.ber == 0.0
+    return peak, result.samples_processed
+
+
+def test_peak_memory_flat_in_transmission_length():
+    # criterion-5 settings: 1 byte is 3.47 M samples, 4 bytes 6.17 M
+    config = ll.ChannelConfig(noise_sigma=0.0, fade_duration=0.002,
+                              sensor_time_constant=0.001, max_command_rate=200.0)
+    alphabet = ll.SymbolAlphabet(symbol_period=0.005)
+    short, short_n = _traced_peak(config, alphabet, b"\x41")
+    long, long_n = _traced_peak(config, alphabet, b"\x41\x42\x43\x44")
+    assert long <= 1.25 * short, f"{long / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
+    # holding even the 1 B/sample sensor trace would grow faster than this
+    assert long - short < 0.25 * (long_n - short_n)
 
 
 class TestSweep:

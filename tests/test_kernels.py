@@ -34,9 +34,9 @@ class TestBackendEquivalence:
     def test_pwm_wave(self):
         levels = _wavy_levels()
         for step in (20_000.0 / FS, 19_777.0 / FS, 23_456.7 / FS):
-            a = _kernels.pwm_wave_numba(levels, step)
-            b = pwm_wave_numpy(levels, step)
-            assert np.array_equal(a, b)
+            a = _kernels.pwm_wave_numba(levels, step, 0, 0.0)
+            b = pwm_wave_numpy(levels, step, 0, 0.0)
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_lowpass(self):
         rng = np.random.default_rng(1)
@@ -50,9 +50,27 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(2)
         freq = 400_000.0 + 50_000.0 * rng.standard_normal(N).cumsum() / np.sqrt(N)
         freq = np.abs(freq)
-        a = _kernels.square_wave_numba(freq, FS)
-        b = square_wave_numpy(freq, FS)
-        assert np.array_equal(a, b)
+        a = _kernels.square_wave_numba(freq, FS, 0.0)
+        b = square_wave_numpy(freq, FS, 0.0)
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+    def test_blocks_with_carry(self):
+        levels = _wavy_levels()
+        freq = 1_000.0 + 3_000.0 * levels
+
+        def stream(pwm_wave, square_wave, block=7919):
+            duty = phi = 0.0
+            pwm, wave = [], []
+            for start in range(0, N, block):
+                part, duty = pwm_wave(levels[start:start + block], 19_777.0 / FS, start, duty)
+                pwm.append(part)
+                part, phi = square_wave(freq[start:start + block], FS, phi)
+                wave.append(part)
+            return np.concatenate(pwm), np.concatenate(wave), duty, phi
+
+        a = stream(_kernels.pwm_wave_numba, _kernels.square_wave_numba)
+        b = stream(pwm_wave_numpy, square_wave_numpy)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_level_fill(self):
         t0s = np.array([0.0, 0.01, 0.013, 0.02])
@@ -60,15 +78,16 @@ class TestBackendEquivalence:
         v0s = np.array([10.0, 10.0, 130.0, 255.0])
         dvs = np.array([0.0, 120.0, 125.0, 0.0])
         bounds = np.array([0, 100_000, 130_000, 200_000, 300_000], dtype=np.int64)
-        a = _kernels.level_fill_numba(bounds, t0s, spans, v0s, dvs, 1.0 / FS)
-        b = level_fill_numpy(bounds, t0s, spans, v0s, dvs, 1.0 / FS)
-        assert np.array_equal(a, b)
+        for start, stop in ((0, 300_000), (7919, 15_838), (129_000, 201_000)):
+            a = _kernels.level_fill_numba(bounds, t0s, spans, v0s, dvs, 1.0 / FS, start, stop)
+            b = level_fill_numpy(bounds, t0s, spans, v0s, dvs, 1.0 / FS, start, stop)
+            assert np.array_equal(a, b)
 
 
 class TestNumpyKernels:
     def test_pwm_constant_duty(self):
         levels = np.full(50_000, 128.0)
-        wave = pwm_wave_numpy(levels, 20_000.0 / FS)
+        wave, _ = pwm_wave_numpy(levels, 20_000.0 / FS, 0, 0.0)
         period = 500
         mean = wave[: (wave.size // period) * period].mean()
         assert abs(mean - 128 / 255) <= 1 / period
@@ -86,14 +105,14 @@ class TestNumpyKernels:
         assert 0.9 < y[-1] < 1.0
 
     def test_square_wave_rate(self):
-        wave = square_wave_numpy(np.full(100_000, 400_000.0), FS)
+        wave, _ = square_wave_numpy(np.full(100_000, 400_000.0), FS, 0.0)
         toggles = int(np.count_nonzero(np.diff(wave)))
         assert toggles / 2 / (100_000 / FS) == pytest.approx(400_000.0, abs=100)
 
     def test_empty_inputs(self):
-        assert pwm_wave_numpy(np.zeros(0), 0.002).size == 0
+        assert pwm_wave_numpy(np.zeros(0), 0.002, 0, 0.0)[0].size == 0
         assert lowpass_numpy(np.zeros(0), 0.5, 0.0).size == 0
-        assert square_wave_numpy(np.zeros(0), FS).size == 0
+        assert square_wave_numpy(np.zeros(0), FS, 0.0)[0].size == 0
 
 
 class TestEnvFlag:
