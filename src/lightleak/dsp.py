@@ -135,16 +135,24 @@ def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
     """Short-time Fourier transform with per-frame mean removal and Hann window.
 
-    ``samples`` may be a SensorTrace, a plain array or an iterator of sample
-    blocks (then ``sample_rate`` is required).  Produces
+    ``samples`` is a SensorTrace or a plain array (then ``sample_rate`` is
+    required); the whole spectrogram is kept, so a block stream buys nothing
+    here and is tracked with `stft_track` instead.  Produces
     ``floor((N - window)/hop) + 1`` frames of ``window/2 + 1`` magnitude
     bins.  Frame times mark window centres.
     """
+    if isinstance(samples, Iterator):
+        raise DomainError("stft needs a SensorTrace or an array; track a block stream "
+                          "with stft_track")
     blocks, fs = _as_blocks(samples, sample_rate)
     check_framing(window_length, hop)
     window = hann_window(window_length)
-    mags = np.concatenate([_spectra(segment, window, hop)
-                           for segment in _segments(blocks, window_length, hop)])
+    mags = np.empty((max(0, (len(samples) - window_length) // hop + 1), window_length // 2 + 1))
+    filled = 0
+    for segment in _segments(blocks, window_length, hop):
+        batch = _spectra(segment, window, hop)
+        mags[filled:filled + batch.shape[0]] = batch
+        filled += batch.shape[0]
     times = _frame_times(mags.shape[0], window_length, hop, fs)
     return Spectrogram(window_length, hop, fs, mags, times)
 
@@ -189,16 +197,17 @@ def stft_track(samples, window_length: int, hop: int,
                sample_rate: float | None = None) -> FrequencyTrack:
     """``dominant_frequency(stft(...))``, one batch of STFT frames at a time.
 
-    Takes the same inputs as `stft` and gives the same track, but holds the
-    spectra of one batch of frames at a time rather than the whole
-    spectrogram.
+    Takes a SensorTrace, a plain array or an iterator of sample blocks (the
+    last two with ``sample_rate``) and gives the same track as
+    ``dominant_frequency(stft(...))``, but holds the spectra of one batch of
+    frames at a time rather than the whole spectrogram.
     """
     blocks, fs = _as_blocks(samples, sample_rate)
     check_framing(window_length, hop)
-    parts = [dominant_frequency(stft(segment, window_length, hop, fs))
-             for segment in _segments(blocks, window_length, hop)]
-    freqs = np.concatenate([part.frequencies for part in parts])
-    confs = np.concatenate([part.confidences for part in parts])
+    window = hann_window(window_length)
+    freqs, confs = (np.concatenate(parts) for parts in zip(*(
+        _peaks(_spectra(segment, window, hop), fs / window_length)
+        for segment in _segments(blocks, window_length, hop))))
     return FrequencyTrack(_frame_times(freqs.size, window_length, hop, fs), freqs, confs)
 
 
@@ -210,7 +219,7 @@ def zero_crossing_frequency(samples, window_length: int, hop: int,
     (edges cross the window's min/max midpoint).  Confidence is
     ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
     two edges report frequency 0 and confidence 0.  Takes the same inputs as
-    `stft`.
+    `stft_track`.
     """
     blocks, fs = _as_blocks(samples, sample_rate)
     check_framing(window_length, hop)

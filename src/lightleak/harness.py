@@ -96,11 +96,12 @@ def _stage(name: str):
 
 
 def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
-                        window_length: int) -> None:
+                        window_length: int, stacklevel: int = 2) -> None:
     """Validate command-rate compliance; warn when fades crowd the slots.
 
-    The warning names the line that called this function's caller, such as
-    the call to `run_end_to_end`.
+    ``stacklevel`` counts as in `warnings.warn`, from this function: the
+    default 2 names the caller's line; `run_end_to_end` passes 3 so that the
+    warning names the line that called it.
     """
     if alphabet.symbol_period < 1.0 / config.max_command_rate:
         raise ConfigError(
@@ -112,7 +113,7 @@ def check_symbol_timing(config: ChannelConfig, alphabet: SymbolAlphabet,
         warnings.warn(
             f"symbol_period {alphabet.symbol_period} s is shorter than the fade plus "
             f"two analysis windows ({settle:.6g} s); slots may not settle",
-            stacklevel=3)
+            stacklevel=stacklevel)
 
 
 def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
@@ -188,7 +189,7 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     not as a bogus decode.
     """
     hop = check_receiver(window_length, hop, tracker)
-    check_symbol_timing(config, alphabet, window_length)
+    check_symbol_timing(config, alphabet, window_length, stacklevel=3)
     started = time.perf_counter()
     schedule, duration = transmit(config, alphabet, payload)
     with _stage("render"):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lightleak import channel, cli, fileio
+from lightleak import _kernels, cli, fileio
 from lightleak.traces import LevelTrace
 
 FAST_CONFIG = """\
@@ -282,7 +282,9 @@ def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp
     def no_render(*args, **kwargs):
         raise AssertionError("rendered despite bad input")
 
-    monkeypatch.setattr(channel, "simulate_link", no_render)
+    # every render, streamed or whole, starts with these kernels
+    monkeypatch.setattr(_kernels, "level_fill", no_render)
+    monkeypatch.setattr(_kernels, "pwm_wave", no_render)
     argv = [a.format(tmp=tmp_path, level=level, sched=sched) for a in command]
     assert cli.main(argv + ["--config", config_file]) == cli.EXIT_CONFIG_ERROR
     err = _one_line_error(capsys)

@@ -260,6 +260,10 @@ class TestBlockEdges:
         with pytest.raises(DomainError, match="input has 200 samples"):
             dsp.stft_track(blocks, 256, 128, FS)
 
+    def test_stft_wants_the_whole_trace(self):
+        with pytest.raises(DomainError, match="stft_track"):
+            stft(iter([np.zeros(1024)]), 256, 128, FS)
+
     def test_stream_needs_sample_rate(self):
         with pytest.raises(DomainError, match="sample_rate"):
             dsp.stft_track(iter([np.zeros(1024)]), 256, 128)

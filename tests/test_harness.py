@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lightleak as ll
-from lightleak import channel, codec, fileio, harness
+from lightleak import _kernels, codec, fileio, harness
 from lightleak.errors import (
     CalibrationError,
     ConfigError,
@@ -71,6 +71,15 @@ class TestRunEndToEnd:
         crowded = config.replace(fade_duration=0.0029)
         with pytest.warns(UserWarning, match="slots may not settle"):
             ll.run_end_to_end(crowded, alphabet, b"\x41")
+
+    def test_timing_warning_names_the_calling_line(self, fast_link):
+        config, alphabet = fast_link
+        crowded = config.replace(fade_duration=0.0029)
+        with pytest.warns(UserWarning) as direct:
+            harness.check_symbol_timing(crowded, alphabet, 4096)
+        with pytest.warns(UserWarning) as wrapped:
+            ll.run_end_to_end(crowded, alphabet, b"\x41")
+        assert [w.filename for w in (*direct, *wrapped)] == [__file__, __file__]
 
     def test_unknown_tracker(self, fast_link):
         config, alphabet = fast_link
@@ -174,7 +183,9 @@ class TestSweep:
         def no_render(*args, **kwargs):
             raise AssertionError("rendered despite a bad window length")
 
-        monkeypatch.setattr(channel, "simulate_link", no_render)
+        # every render, streamed or whole, starts with these kernels
+        monkeypatch.setattr(_kernels, "level_fill", no_render)
+        monkeypatch.setattr(_kernels, "pwm_wave", no_render)
         with pytest.raises(ConfigError, match="window_length"):
             ll.run_end_to_end(config, alphabet, b"\x41", window_length=window)
         spec = harness.SweepSpec(
