@@ -26,7 +26,9 @@ PWM_RESOLUTION_FACTOR = 100.0
 
 
 def _check_level(level) -> int:
-    if isinstance(level, bool) or not float(level).is_integer():
+    # an int is checked as is: one beyond float range cannot convert
+    if isinstance(level, bool) or not (isinstance(level, (int, np.integer))
+                                       or float(level).is_integer()):
         raise DomainError(f"brightness level must be an integer, got {level!r}")
     level = int(level)
     if not 0 <= level <= LEVEL_MAX:

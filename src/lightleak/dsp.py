@@ -5,8 +5,9 @@ frames, removes each frame's mean (the square wave carries a large DC
 component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
-cross-check.  Both take their frames off a stream of sample blocks, one batch
-of frames at a time, so a long capture never has to be held whole.
+cross-check.  Both are pushed one block of samples at a time and track each
+batch of frames as soon as it is complete, so a long capture never has to be
+held whole, and one stream can feed several receivers in lockstep.
 """
 
 from __future__ import annotations
@@ -83,40 +84,52 @@ def check_framing(window_length: int, hop: int) -> None:
         raise DomainError(f"hop must be >= 1, got {hop}")
 
 
-def _segments(blocks: Iterable[np.ndarray], window_length: int,
-              hop: int) -> Iterator[np.ndarray]:
-    """The samples of consecutive batches of frames of a block stream.
+class _Framer:
+    """Cuts a pushed stream of sample blocks into batches of frames.
 
-    Frame ``f`` is ``x[f*hop : f*hop + window_length]``.  Segment ``k``
-    holds exactly the samples of frames ``k*_STFT_BLOCK`` up to
-    ``(k+1)*_STFT_BLOCK`` (fewer in the last one), whatever the block size,
-    so its own frames are those frames.  Only the samples that later frames
-    still need are kept, so memory does not grow with the stream.  Raises
-    `DomainError` if the stream ends before one full window.
+    Frame ``f`` is ``x[f*hop : f*hop + window_length]``.  Batch ``k`` holds
+    exactly the samples of frames ``k*_STFT_BLOCK`` up to
+    ``(k+1)*_STFT_BLOCK`` (fewer in the last one), whatever the block sizes,
+    so its own frames are those frames.  `push` hands each batch to
+    ``_batch`` as soon as its last sample arrives and keeps only the samples
+    that later frames still need, so memory does not grow with the stream.
+    `close` hands over the last, shorter batch; it raises `DomainError` if
+    the stream ended before one full window.
     """
-    span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
-    step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
-    pending, held, seen, skip = [], 0, 0, 0
-    for block in blocks:
-        seen += block.size
-        if skip:  # a hop longer than the window jumps over these samples
-            block, skip = block[skip:], max(0, skip - block.size)
-        pending.append(block)
-        held += block.size
-        if held < span:
-            continue
-        buf = np.concatenate(pending)
+
+    def __init__(self, window_length: int, hop: int):
+        check_framing(window_length, hop)
+        self.window_length, self.hop = window_length, hop
+        self._span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
+        self._step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
+        self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
+
+    def push(self, block: np.ndarray) -> None:
+        self._seen += block.size
+        if self._skip:  # a hop longer than the window jumps over these samples
+            block, self._skip = block[self._skip:], max(0, self._skip - block.size)
+        self._pending.append(block)
+        self._held += block.size
+        if self._held < self._span:
+            return
+        buf = np.concatenate(self._pending)
         first = 0
-        while first + span <= buf.size:
-            yield buf[first:first + span]
-            first += step
-        skip = max(0, first - buf.size)
-        pending = [buf[first:]]
-        held = pending[0].size
-    if seen < window_length:
-        raise DomainError(f"input has {seen} samples, need at least one window ({window_length})")
-    if held >= window_length:
-        yield np.concatenate(pending)
+        while first + self._span <= buf.size:
+            self._batch(buf[first:first + self._span])
+            first += self._step
+        self._skip = max(0, first - buf.size)
+        self._pending = [buf[first:]]
+        self._held = self._pending[0].size
+
+    def close(self) -> None:
+        if self._seen < self.window_length:
+            raise DomainError(f"input has {self._seen} samples, "
+                              f"need at least one window ({self.window_length})")
+        if self._held >= self.window_length:
+            self._batch(np.concatenate(self._pending))
+
+    def _batch(self, segment: np.ndarray) -> None:
+        raise NotImplementedError
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
@@ -132,6 +145,22 @@ def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
     return np.abs(np.fft.rfft(block, axis=1))
 
 
+class _SpectraFill(_Framer):
+    """Writes each batch's spectra into one preallocated spectrogram."""
+
+    def __init__(self, window_length: int, hop: int, n_samples: int):
+        super().__init__(window_length, hop)
+        self._window = hann_window(window_length)
+        self.mags = np.empty((max(0, (n_samples - window_length) // hop + 1),
+                              window_length // 2 + 1))
+        self._filled = 0
+
+    def _batch(self, segment):
+        batch = _spectra(segment, self._window, self.hop)
+        self.mags[self._filled:self._filled + batch.shape[0]] = batch
+        self._filled += batch.shape[0]
+
+
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
     """Short-time Fourier transform with per-frame mean removal and Hann window.
 
@@ -145,16 +174,12 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         raise DomainError("stft needs a SensorTrace or an array; track a block stream "
                           "with stft_track")
     blocks, fs = _as_blocks(samples, sample_rate)
-    check_framing(window_length, hop)
-    window = hann_window(window_length)
-    mags = np.empty((max(0, (len(samples) - window_length) // hop + 1), window_length // 2 + 1))
-    filled = 0
-    for segment in _segments(blocks, window_length, hop):
-        batch = _spectra(segment, window, hop)
-        mags[filled:filled + batch.shape[0]] = batch
-        filled += batch.shape[0]
-    times = _frame_times(mags.shape[0], window_length, hop, fs)
-    return Spectrogram(window_length, hop, fs, mags, times)
+    spectra = _SpectraFill(window_length, hop, len(samples))
+    for block in blocks:
+        spectra.push(block)
+    spectra.close()
+    times = _frame_times(spectra.mags.shape[0], window_length, hop, fs)
+    return Spectrogram(window_length, hop, fs, spectra.mags, times)
 
 
 def _peaks(mags: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,42 +218,118 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def stft_track(samples, window_length: int, hop: int,
-               sample_rate: float | None = None) -> FrequencyTrack:
+class _Tracker(_Framer):
+    """A frequency tracker fed one block at a time; `finish` gives its track.
+
+    Subclasses turn one batch of frames into frequencies and confidences.
+    """
+
+    def __init__(self, window_length: int, hop: int, sample_rate: float):
+        super().__init__(window_length, hop)
+        self.sample_rate = sample_rate
+        self._freqs, self._confs = [], []
+
+    def _batch(self, segment):
+        freqs, confs = self._rates(segment)
+        self._freqs.append(freqs)
+        self._confs.append(confs)
+
+    def _rates(self, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def finish(self) -> FrequencyTrack:
+        """Track the last batch and return the whole track."""
+        self.close()
+        freqs, confs = np.concatenate(self._freqs), np.concatenate(self._confs)
+        times = _frame_times(freqs.size, self.window_length, self.hop, self.sample_rate)
+        return FrequencyTrack(times, freqs, confs)
+
+
+class StftTracker(_Tracker):
     """``dominant_frequency(stft(...))``, one batch of STFT frames at a time.
 
-    Takes a SensorTrace, a plain array or an iterator of sample blocks (the
-    last two with ``sample_rate``) and gives the same track as
-    ``dominant_frequency(stft(...))``, but holds the spectra of one batch of
-    frames at a time rather than the whole spectrogram.
+    Holds the spectra of one batch of frames at a time rather than the whole
+    spectrogram.
     """
-    blocks, fs = _as_blocks(samples, sample_rate)
-    check_framing(window_length, hop)
-    window = hann_window(window_length)
-    freqs, confs = (np.concatenate(parts) for parts in zip(*(
-        _peaks(_spectra(segment, window, hop), fs / window_length)
-        for segment in _segments(blocks, window_length, hop))))
-    return FrequencyTrack(_frame_times(freqs.size, window_length, hop, fs), freqs, confs)
+
+    def __init__(self, window_length: int, hop: int, sample_rate: float):
+        super().__init__(window_length, hop, sample_rate)
+        self._window = hann_window(window_length)
+
+    def _rates(self, segment):
+        return _peaks(_spectra(segment, self._window, self.hop),
+                      self.sample_rate / self.window_length)
 
 
-def zero_crossing_frequency(samples, window_length: int, hop: int,
-                            sample_rate: float | None = None) -> FrequencyTrack:
+class ZeroCrossingTracker(_Tracker):
     """Time-domain frequency tracker: rising-edge counting per window.
 
     Frequency is the number of rising edges divided by the window duration
     (edges cross the window's min/max midpoint).  Confidence is
     ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
-    two edges report frequency 0 and confidence 0.  Takes the same inputs as
-    `stft_track`.
+    two edges report frequency 0 and confidence 0.
+    """
+
+    def _rates(self, segment):
+        duration = self.window_length / self.sample_rate
+        windows = sliding_window_view(segment.astype(np.float64), self.window_length)
+        rates = np.array([_edge_rate(w, duration) for w in windows[::self.hop]],
+                         dtype=np.float64)
+        return rates[:, 0], rates[:, 1]
+
+
+#: tracker name -> tracker class
+TRACKERS = {"stft": StftTracker, "zero_crossing": ZeroCrossingTracker}
+
+
+def track_all(samples, receivers: list[tuple[int, int]], tracker: str = "stft",
+              sample_rate: float | None = None) -> list[FrequencyTrack | DomainError]:
+    """Track one sample stream with several receivers in lockstep.
+
+    ``samples`` is a SensorTrace, a plain array or an iterator of sample
+    blocks (the last two with ``sample_rate``); ``receivers`` lists
+    ``(window_length, hop)`` pairs, each run by a ``TRACKERS[tracker]``.
+    Every block goes to every receiver before the next block is drawn, so
+    the stream is produced once and each receiver keeps at most one batch of
+    its frames.  Returns, per receiver, its `FrequencyTrack` or the
+    `DomainError` it ended with (a stream shorter than its window).
     """
     blocks, fs = _as_blocks(samples, sample_rate)
-    check_framing(window_length, hop)
-    duration = window_length / fs
-    rates = [_edge_rate(w, duration)
-             for segment in _segments(blocks, window_length, hop)
-             for w in sliding_window_view(segment.astype(np.float64), window_length)[::hop]]
-    freqs, confs = np.array(rates, dtype=np.float64).T.copy()
-    return FrequencyTrack(_frame_times(freqs.size, window_length, hop, fs), freqs, confs)
+    trackers = [TRACKERS[tracker](window_length, hop, fs) for window_length, hop in receivers]
+    for block in blocks:
+        for each in trackers:
+            each.push(block)
+    return [_finish(each) for each in trackers]
+
+
+def _finish(tracker: _Tracker) -> FrequencyTrack | DomainError:
+    try:
+        return tracker.finish()
+    except DomainError as exc:
+        return exc
+
+
+def _track_one(samples, window_length, hop, tracker, sample_rate) -> FrequencyTrack:
+    track, = track_all(samples, [(window_length, hop)], tracker, sample_rate)
+    if isinstance(track, DomainError):
+        raise track
+    return track
+
+
+def stft_track(samples, window_length: int, hop: int,
+               sample_rate: float | None = None) -> FrequencyTrack:
+    """`StftTracker` over a SensorTrace, a plain array or an iterator of blocks.
+
+    Gives the same track as ``dominant_frequency(stft(...))``; the last two
+    input kinds need ``sample_rate``.
+    """
+    return _track_one(samples, window_length, hop, "stft", sample_rate)
+
+
+def zero_crossing_frequency(samples, window_length: int, hop: int,
+                            sample_rate: float | None = None) -> FrequencyTrack:
+    """`ZeroCrossingTracker` over the same inputs as `stft_track`."""
+    return _track_one(samples, window_length, hop, "zero_crossing", sample_rate)
 
 
 def _edge_rate(w: np.ndarray, duration: float) -> tuple[float, float]:

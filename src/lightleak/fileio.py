@@ -9,6 +9,8 @@ text so they can be inspected and plotted directly.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -23,8 +25,9 @@ MAGIC = b"LLTRACE\x00"
 VERSION = 1
 
 _HEADER = struct.Struct("<8sHBBddQ")
-#: byte offset of the trace kind field in the header
+#: byte offsets of the trace kind and sample rate fields in the header
 KIND_OFFSET = 10
+SAMPLE_RATE_OFFSET = 12
 
 _KIND_BY_CLASS = {LevelTrace: 1, PwmTrace: 2, IntensityTrace: 3, SensorTrace: 4}
 _CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
@@ -45,35 +48,50 @@ def export_trace(trace, path) -> None:
                           trace.sample_rate, start_time, values.size)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype=_DTYPE_BY_ENC[encoding]).tobytes())
+        fh.write(np.ascontiguousarray(values, dtype=_DTYPE_BY_ENC[encoding]).data)
 
 
 def import_trace(path):
-    """Read a trace written by `export_trace`; the round trip is bit-exact."""
+    """Read a trace written by `export_trace`; the round trip is bit-exact.
+
+    The header and the file size are checked first; the samples are then
+    read straight into their array, so the file is never held twice.  A
+    pipe has no size to check, so only the read itself can find it short.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise TraceFormatError("file shorter than trace header", len(raw))
-    magic, version, kind, encoding, sample_rate, start_time, count = \
-        _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise TraceFormatError("bad magic, not a trace file", 0)
-    if version != VERSION:
-        raise TraceFormatError(f"unsupported trace version {version}", 8)
-    if kind not in _CLASS_BY_KIND:
-        raise TraceFormatError(f"unknown trace kind {kind}", KIND_OFFSET)
-    if encoding not in _DTYPE_BY_ENC:
-        raise TraceFormatError(f"unknown value encoding {encoding}", 11)
-    dtype = _DTYPE_BY_ENC[encoding]
-    need = _HEADER.size + count * dtype.itemsize
-    if len(raw) < need:
-        raise TraceFormatError(
-            f"truncated payload: header promises {count} samples", len(raw))
-    values = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size).copy()
+        st = os.fstat(fh.fileno())
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TraceFormatError("file shorter than trace header", len(header))
+        magic, version, kind, encoding, sample_rate, start_time, count = \
+            _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise TraceFormatError("bad magic, not a trace file", 0)
+        if version != VERSION:
+            raise TraceFormatError(f"unsupported trace version {version}", 8)
+        if kind not in _CLASS_BY_KIND:
+            raise TraceFormatError(f"unknown trace kind {kind}", KIND_OFFSET)
+        if encoding not in _DTYPE_BY_ENC:
+            raise TraceFormatError(f"unknown value encoding {encoding}", 11)
+        if not sample_rate > 0:
+            raise TraceFormatError(f"sample rate must be > 0, got {sample_rate}",
+                                   SAMPLE_RATE_OFFSET)
+        dtype = _DTYPE_BY_ENC[encoding]
+        if stat.S_ISREG(st.st_mode) and st.st_size < _HEADER.size + count * dtype.itemsize:
+            raise TraceFormatError(
+                f"truncated payload: header promises {count} samples", st.st_size)
+        values = np.empty(count, dtype=dtype)
+        got = fh.readinto(values.view(np.uint8))
+        if got < values.nbytes:  # a pipe, or a file that shrank after the check
+            raise TraceFormatError(
+                f"truncated payload: header promises {count} samples", _HEADER.size + got)
     cls = _CLASS_BY_KIND[kind]
-    if cls is LevelTrace:
-        return LevelTrace(sample_rate, values, start_time)
-    return cls(sample_rate, values)
+    try:
+        if cls is LevelTrace:
+            return LevelTrace(sample_rate, values, start_time)
+        return cls(sample_rate, values)
+    except DomainError as exc:  # samples outside the kind's value range
+        raise TraceFormatError(str(exc), _HEADER.size) from None
 
 
 def export_spectrogram(spec: Spectrogram, path) -> None:
@@ -107,20 +125,24 @@ def import_schedule(path) -> CommandSchedule:
     """
     commands = []
     initial = header_line = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            try:
-                if line.startswith("#") and "initial_level=" in line:
-                    initial = int(line.split("initial_level=", 1)[1])
-                    header_line = lineno
-                elif line and not line.startswith("#"):
-                    t_str, level_str = line.split()
-                    commands.append(BrightnessCommand(float(t_str), int(level_str)))
-                    if len(commands) > 1 and commands[-1].at_time <= commands[-2].at_time:
-                        raise DomainError("command times must be strictly increasing")
-            except ValueError as exc:
-                raise ScheduleFormatError(f"{line!r}: {exc}", lineno) from None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # \n, \r\n and \r, as text mode splits
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ScheduleFormatError(f"{raw!r}: not UTF-8 text", lineno) from None
+        try:
+            if line.startswith("#") and "initial_level=" in line:
+                initial = int(line.split("initial_level=", 1)[1])
+                header_line = lineno
+            elif line and not line.startswith("#"):
+                t_str, level_str = line.split()
+                commands.append(BrightnessCommand(float(t_str), int(level_str)))
+                if len(commands) > 1 and commands[-1].at_time <= commands[-2].at_time:
+                    raise DomainError("command times must be strictly increasing")
+        except ValueError as exc:
+            raise ScheduleFormatError(f"{line!r}: {exc}", lineno) from None
     if initial is None:
         raise ScheduleFormatError("schedule file missing initial_level header", 1)
     try:

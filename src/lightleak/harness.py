@@ -151,22 +151,37 @@ def transmit(config: ChannelConfig, alphabet: SymbolAlphabet,
     return schedule, link_duration(schedule, config, alphabet)
 
 
-def receive(sensor, alphabet: SymbolAlphabet,
-            window_length: int = DEFAULT_WINDOW_LENGTH, hop: int | None = None,
-            tracker: str = "stft", reference: bytes | None = None,
-            sample_rate: float | None = None) -> DecodeReport:
-    """Track, calibrate, classify and decode a sensor trace.
+def receive_all(sensor, alphabet: SymbolAlphabet, receivers: list[tuple[int, int]],
+                tracker: str = "stft", reference: bytes | None = None,
+                sample_rate: float | None = None) -> list[DecodeReport | LightLeakError]:
+    """Decode one sensor stream with several receivers, fed in lockstep.
 
     ``sensor`` is a SensorTrace, or an iterator of sample blocks at
-    ``sample_rate`` such as `channel.sensor_blocks` returns; the tracker
-    takes it one block at a time.  ``reference``, when given, is the sent
-    payload the bit error rate is measured against.  Errors carry the failing
-    stage in ``.stage``.
+    ``sample_rate`` such as `channel.sensor_blocks` returns; it is read once,
+    and every block goes to every receiver.  ``receivers`` lists
+    ``(window_length, hop)`` pairs that passed `check_receiver`.
+    ``reference``, when given, is the sent payload the bit error rate is
+    measured against.  Returns one outcome per receiver: its `DecodeReport`,
+    or the `LightLeakError` it failed with, carrying the failing stage in
+    ``.stage``.  An error of the stream itself is raised, not returned.
     """
-    hop = check_receiver(window_length, hop, tracker)
-    track_frames = dsp.stft_track if tracker == "stft" else dsp.zero_crossing_frequency
     with _stage("track"):
-        track = track_frames(sensor, window_length, hop, sample_rate)
+        tracks = dsp.track_all(sensor, receivers, tracker, sample_rate)
+    outcomes = []
+    for track in tracks:
+        try:
+            outcomes.append(_decode(track, alphabet, tracker, reference))
+        except LightLeakError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _decode(track, alphabet: SymbolAlphabet, tracker: str,
+            reference: bytes | None) -> DecodeReport:
+    """One receiver's report from its track, or the error its track ended with."""
+    with _stage("track"):
+        if isinstance(track, DomainError):
+            raise track
     with _stage("calibrate"):
         calibration = codec.calibrate(track, alphabet)
     with _stage("classify"):
@@ -175,6 +190,36 @@ def receive(sensor, alphabet: SymbolAlphabet,
     with _stage("decode"):
         return codec.decode_frame(bits, reference=reference,
                                   confidences=[s.confidence for s in slots])
+
+
+def _only(outcomes: list[DecodeReport | LightLeakError]) -> DecodeReport:
+    """The report of a one-receiver `receive_all`, or its error raised."""
+    outcome, = outcomes
+    if isinstance(outcome, LightLeakError):
+        raise outcome
+    return outcome
+
+
+def receive(sensor, alphabet: SymbolAlphabet,
+            window_length: int = DEFAULT_WINDOW_LENGTH, hop: int | None = None,
+            tracker: str = "stft", reference: bytes | None = None,
+            sample_rate: float | None = None) -> DecodeReport:
+    """Track, calibrate, classify and decode a sensor trace: `receive_all`
+    with one receiver.
+
+    Takes the same ``sensor`` and ``reference`` as `receive_all`.  Raises the
+    failing stage's error, tagged with ``.stage``.
+    """
+    hop = check_receiver(window_length, hop, tracker)
+    return _only(receive_all(sensor, alphabet, [(window_length, hop)], tracker,
+                             reference, sample_rate))
+
+
+def _sensor(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes):
+    """Transmit ``payload`` and start its sensor stream; returns it and the duration."""
+    schedule, duration = transmit(config, alphabet, payload)
+    with _stage("render"):
+        return channel.sensor_blocks(schedule, config, duration), duration
 
 
 def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes,
@@ -191,9 +236,7 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     hop = check_receiver(window_length, hop, tracker)
     check_symbol_timing(config, alphabet, window_length, stacklevel=3)
     started = time.perf_counter()
-    schedule, duration = transmit(config, alphabet, payload)
-    with _stage("render"):
-        sensor = channel.sensor_blocks(schedule, config, duration)
+    sensor, duration = _sensor(config, alphabet, payload)
     report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload,
                      sample_rate=config.sample_rate)
     return RunResult(
@@ -219,36 +262,53 @@ def _apply_parameter(spec: SweepSpec, value):
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Run the sweep; per-point trials use seeds ``seed + trial_index``.
 
-    A trial that fails calibration (or any later decode stage) counts as a
-    completely lost transmission: its bit error rate is 1.  Rows come back
-    ordered by parameter value.
+    Each value's receiver and symbol timing are checked once, before
+    anything is rendered; a value that fails them counts every trial as a
+    decode error.  Values that leave the link itself unchanged (the
+    ``window_length`` values) share one render per trial, fanned out to all
+    their receivers by `receive_all`.  A trial that fails calibration (or any
+    later decode stage) counts as a completely lost transmission: its bit
+    error rate is 1.  Rows come back ordered by parameter value.
     """
-    points = []
-    for value in sorted(spec.values):
+    values = sorted(spec.values)
+    outcomes = [[] for _ in values]
+    links: dict = {}  # (config, alphabet) -> [(value index, window, hop)]
+    for i, value in enumerate(values):
         config, alphabet, window = _apply_parameter(spec, value)
-        bers = []
-        calibration_failures = 0
-        decode_errors = 0
+        try:
+            hop = check_receiver(window, None, spec.tracker)
+            check_symbol_timing(config, alphabet, window)
+        except LightLeakError as exc:
+            outcomes[i] = [exc] * spec.trials
+            continue
+        links.setdefault((config, alphabet), []).append((i, window, hop))
+    for (config, alphabet), group in links.items():
+        receivers = [(window, hop) for _, window, hop in group]
         for trial in range(spec.trials):
-            trial_config = config.replace(rng_seed=spec.seed + trial)
             try:
-                result = run_end_to_end(trial_config, alphabet, spec.payload,
-                                        window_length=window, tracker=spec.tracker)
-                bers.append(result.report.ber)
-            except CalibrationError:
-                calibration_failures += 1
-                bers.append(1.0)
-            except LightLeakError:
-                decode_errors += 1
-                bers.append(1.0)
-        points.append(SweepPoint(
-            value=float(value),
-            mean_ber=float(np.mean(bers)),
-            calibration_failure_rate=calibration_failures / spec.trials,
-            trials=spec.trials,
-            decode_errors=decode_errors,
-        ))
-    return points
+                sensor, _ = _sensor(config.replace(rng_seed=spec.seed + trial), alphabet,
+                                    spec.payload)
+                results = receive_all(sensor, alphabet, receivers, spec.tracker,
+                                      reference=spec.payload, sample_rate=config.sample_rate)
+            except LightLeakError as exc:
+                results = [exc] * len(group)
+            for (i, _, _), result in zip(group, results):
+                outcomes[i].append(result)
+    return [_point(value, trials) for value, trials in zip(values, outcomes)]
+
+
+def _point(value, outcomes: list) -> SweepPoint:
+    """Aggregate one value's trials; a failed trial has bit error rate 1."""
+    failed = [o for o in outcomes if isinstance(o, LightLeakError)]
+    calibration_failures = sum(isinstance(o, CalibrationError) for o in failed)
+    return SweepPoint(
+        value=float(value),
+        mean_ber=float(np.mean([1.0 if isinstance(o, LightLeakError) else o.ber
+                                for o in outcomes])),
+        calibration_failure_rate=calibration_failures / len(outcomes),
+        trials=len(outcomes),
+        decode_errors=len(failed) - calibration_failures,
+    )
 
 
 def format_sweep_table(spec: SweepSpec, points: list[SweepPoint]) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightleak import (
     BrightnessCommand,
@@ -13,6 +15,7 @@ from lightleak import (
     render_level_trace,
     render_pwm,
 )
+from lightleak.bulb import _GAP_SLACK
 from lightleak.errors import ConfigError, DomainError
 from lightleak.traces import LevelTrace
 
@@ -34,6 +37,10 @@ class TestDutyCycle:
     def test_non_integer_rejected(self):
         with pytest.raises(DomainError):
             duty_cycle(1.5)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            duty_cycle(10 ** 400)
 
     def test_monotone_with_exact_step(self):
         duties = np.array([duty_cycle(k) for k in range(256)])
@@ -97,6 +104,26 @@ class TestRateLimit:
     def test_bad_rate(self):
         with pytest.raises(DomainError):
             apply_rate_limit(CommandSchedule((), 0), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+                    unique=True, max_size=30).map(sorted),
+           st.lists(st.integers(0, 255), min_size=30, max_size=30),
+           st.floats(min_value=0.1, max_value=1e4))
+    def test_properties(self, times, levels, max_rate):
+        sched = CommandSchedule.from_pairs(zip(times, levels), 7)
+        limited, delay = apply_rate_limit(sched, max_rate)
+        before, after = sched.commands, limited.commands
+        # order and count kept, nothing moved earlier
+        assert [c.level for c in after] == [c.level for c in before]
+        assert limited.initial_level == sched.initial_level
+        assert all(a.at_time >= b.at_time for a, b in zip(after, before))
+        assert delay >= 0.0
+        # every gap at least 1/max_rate, up to the relative slack
+        min_gap = 1.0 / max_rate
+        assert all(later.at_time >= earlier.at_time + min_gap - min_gap * _GAP_SLACK
+                   for earlier, later in zip(after, after[1:]))
+        assert apply_rate_limit(limited, max_rate) == (limited, 0.0)
 
 
 class TestFadeProfile:

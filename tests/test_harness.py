@@ -1,16 +1,18 @@
 """Pipeline orchestration, sweeps, and the on-disk formats."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lightleak as ll
-from lightleak import _kernels, codec, fileio, harness
+from lightleak import _kernels, channel, codec, fileio, harness
 from lightleak.errors import (
     CalibrationError,
     ConfigError,
     DomainError,
+    LightLeakError,
     ScheduleFormatError,
     TraceFormatError,
 )
@@ -124,6 +126,127 @@ def test_peak_memory_flat_in_transmission_length():
     assert long <= 1.25 * short, f"{long / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
     # holding even the 1 B/sample sensor trace would grow faster than this
     assert long - short < 0.25 * (long_n - short_n)
+
+
+def _sweep_peak(payload: bytes) -> int:
+    """Peak bytes traced while a four-window criterion-7 sweep runs one trial."""
+    spec = harness.SweepSpec(
+        parameter="window_length", values=(1024, 2048, 4096, 8192), trials=1,
+        config=ll.ChannelConfig(distance=0.4, fade_duration=0.00025,
+                                max_command_rate=4000.0, noise_sigma=0.005),
+        alphabet=ll.SymbolAlphabet(level_zero=120, level_one=140, level_delimiter=130,
+                                   symbol_period=0.00075),
+        payload=payload, seed=1)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            points = harness.sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 4
+    return peak
+
+
+def test_sweep_peak_memory_flat_in_transmission_length():
+    # 16 bytes render 2.55 M samples, 64 bytes 9.03 M; every window's
+    # receiver keeps at most one batch of its frames
+    short = _sweep_peak(bytes(range(16)))
+    long = _sweep_peak(bytes(range(64)))
+    assert long <= 1.25 * short, f"{long / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
+
+
+class TestWindowFanOut:
+    """A window sweep renders once per trial and feeds every window from it."""
+
+    @staticmethod
+    def _reference(spec) -> list:
+        """The sweep's points, one `run_end_to_end` per value and trial."""
+        points = []
+        for value in sorted(spec.values):
+            outcomes = []
+            for trial in range(spec.trials):
+                try:
+                    outcomes.append(ll.run_end_to_end(
+                        spec.config.replace(rng_seed=spec.seed + trial), spec.alphabet,
+                        spec.payload, window_length=int(value),
+                        tracker=spec.tracker).report.ber)
+                except LightLeakError as exc:
+                    outcomes.append(exc)
+            failed = [o for o in outcomes if isinstance(o, LightLeakError)]
+            calibration = sum(isinstance(o, CalibrationError) for o in failed)
+            points.append(harness.SweepPoint(
+                value=float(value),
+                mean_ber=float(np.mean([1.0 if o in failed else o for o in outcomes])),
+                calibration_failure_rate=calibration / spec.trials,
+                trials=spec.trials, decode_errors=len(failed) - calibration))
+        return points
+
+    @staticmethod
+    def _messages(call) -> tuple[list, list]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, list(dict.fromkeys(str(w.message) for w in caught))
+
+    # 1000 is no power of two; 2**22 is longer than the 2.4 M-sample trace;
+    # 16384 and 32768 crowd the 3 ms slots and warn
+    @pytest.mark.parametrize("values, tracker", [
+        ((8192, 1024, 4096, 2048), "stft"),
+        ((1000, 2048, 4096), "stft"),
+        ((2048, 2 ** 22), "stft"),
+        ((4096, 16384, 32768), "stft"),
+        ((1024, 2048, 4096), "zero_crossing"),
+    ], ids=["four_windows", "invalid_window", "window_past_trace", "warnings",
+            "zero_crossing"])
+    def test_one_render_per_trial(self, fast_link, monkeypatch, values, tracker):
+        config, alphabet = fast_link
+        spec = harness.SweepSpec(
+            parameter="window_length", values=values, trials=2, config=config,
+            alphabet=alphabet, payload=b"\x5a", tracker=tracker, seed=4)
+        want, want_warnings = self._messages(lambda: self._reference(spec))
+
+        renders = []
+        sensor_blocks = channel.sensor_blocks
+
+        def counted(*args, **kwargs):
+            renders.append(1)
+            return sensor_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "sensor_blocks", counted)
+        got, got_warnings = self._messages(lambda: harness.sweep(spec))
+        assert len(renders) == spec.trials
+        assert got == want
+        assert got_warnings == want_warnings
+
+    def test_points_show_each_failure_kind(self, fast_link):
+        config, alphabet = fast_link
+        spec = harness.SweepSpec(
+            parameter="window_length", values=(1000, 2048, 2 ** 22), trials=2,
+            config=config, alphabet=alphabet, payload=b"\x5a", seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            bad, good, too_long = harness.sweep(spec)
+        assert (bad.decode_errors, bad.mean_ber) == (2, 1.0)
+        assert (good.decode_errors, good.mean_ber) == (0, 0.0)
+        assert (too_long.decode_errors, too_long.mean_ber) == (2, 1.0)
+
+
+class TestReceiveAll:
+    def test_each_receiver_keeps_its_own_error(self, fast_link):
+        config, alphabet = fast_link
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        sensor = ll.simulate_link(schedule, config, duration)
+        ok, short = harness.receive_all(sensor, alphabet, [(4096, 2048), (2 ** 22, 2 ** 21)],
+                                        reference=b"\x41")
+        assert ok.payload == b"\x41" and ok.ber == 0.0
+        assert isinstance(short, DomainError)
+        assert short.stage == "track"
+        with pytest.raises(DomainError) as exc_info:
+            harness.receive(sensor, alphabet, 2 ** 22)
+        assert exc_info.value.stage == "track"
+        assert str(exc_info.value) == str(short)
 
 
 class TestSweep:
