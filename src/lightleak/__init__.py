@@ -6,7 +6,6 @@ decoder, and quantifies reliability (bit error rate, throughput) and
 covertness.
 """
 
-from ._kernels import BACKEND
 from .bulb import (
     BrightnessCommand,
     CommandSchedule,
@@ -44,7 +43,6 @@ from .traces import IntensityTrace, LevelTrace, PwmTrace, SensorTrace
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BrightnessCommand",
     "Calibration",
     "ChannelConfig",

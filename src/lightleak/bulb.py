@@ -178,9 +178,10 @@ def _fade_segments(schedule: CommandSchedule, fade_duration: float):
 
 def check_duration(schedule: CommandSchedule, config: ChannelConfig,
                    duration: float) -> None:
-    """Reject a duration that is not positive or ends before the last fade does."""
-    if duration <= 0:
-        raise DomainError(f"duration must be > 0, got {duration}")
+    """Reject a duration that is not finite and positive, or ends before the
+    last fade does."""
+    if not 0 < duration < np.inf:
+        raise DomainError(f"duration must be finite and > 0, got {duration}")
     if schedule.commands:
         need = schedule.last_time + config.fade_duration
         if duration < need:

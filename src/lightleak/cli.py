@@ -46,13 +46,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
 
 
-def _gather(args) -> tuple:
+def _gather(args, takes_hop: bool = True) -> tuple:
     values = read_config_file(args.config) if args.config else {}
     override_text = "\n".join(args.overrides)
     values.update(parse_config_text(override_text))
     if args.seed is not None:
         values["rng_seed"] = args.seed
     config, alphabet, extra = build_from_values(values)
+    if "hop" in extra and not takes_hop:
+        raise ConfigError(f"hop is not a {args.command} setting: every window runs "
+                          "with half a window as its hop")
     window = int(extra.get("window_length", harness.DEFAULT_WINDOW_LENGTH))
     tracker = extra.get("tracker", "stft")
     hop = harness.check_receiver(window, extra.get("hop"), tracker)
@@ -157,7 +160,7 @@ def cmd_spectrogram(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, alphabet, window, _, tracker = _gather(args)
+    config, alphabet, window, _, tracker = _gather(args, takes_hop=False)
     try:
         values = tuple(float(v) for v in args.values.split(","))
     except ValueError:

@@ -40,6 +40,13 @@ class ChannelConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every range check below, so finiteness comes first
+        for field in dataclasses.fields(self):
+            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
+                raise ConfigError(
+                    f"{field.name} must be a finite number, got {getattr(self, field.name)}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("pwm_frequency", "sample_rate", "sensor_full_scale_frequency",
                      "max_command_rate"):
             if getattr(self, name) <= 0:
@@ -93,7 +100,9 @@ class SymbolAlphabet:
             raise ConfigError(
                 "levels must satisfy level_zero < level_delimiter < level_one, got "
                 f"{self.level_zero}/{self.level_delimiter}/{self.level_one}")
-        if self.symbol_period <= 0:
+        # an infinite period stays valid as the never-sending limit (zero
+        # throughput); config files reject it, as every non-finite number
+        if not self.symbol_period > 0:
             raise ConfigError(f"symbol_period must be > 0, got {self.symbol_period}")
 
     def replace(self, **changes) -> "SymbolAlphabet":
@@ -137,6 +146,9 @@ def parse_config_text(text: str) -> dict:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"config line {lineno}: {key} needs a number, got {val!r}")
+            if not math.isfinite(values[key]):
+                raise ConfigError(
+                    f"config line {lineno}: {key} needs a finite number, got {val!r}")
     return values
 
 

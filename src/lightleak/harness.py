@@ -13,6 +13,7 @@ reporting mean bit error rate and calibration-failure rate per point.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from contextlib import contextmanager
@@ -71,7 +72,14 @@ class SweepSpec:
             raise ConfigError("sweep needs a non-empty value list")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "values", tuple(self.values))
+        for value in self.values:
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep values must be finite numbers, got {value!r}")
+            if self.parameter == "window_length" and value != int(value):
+                raise ConfigError(f"window_length values must be integers, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, exit codes, file transparency."""
 
+import contextlib
+import dataclasses
+import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightleak import _kernels, cli, fileio
+from lightleak import ChannelConfig, SymbolAlphabet, _kernels, cli, fileio
 from lightleak.traces import LevelTrace
 
 FAST_CONFIG = """\
@@ -256,6 +262,10 @@ def test_decode_calibration_failure_names_stage(config_file, tmp_path, capsys):
     assert err.endswith("[stage: calibrate]")
 
 
+def _no_render(*args, **kwargs):
+    raise AssertionError("rendered despite bad input")
+
+
 @pytest.mark.parametrize("command, fragment", [
     (["simulate", "--payload-hex", "41", "--set", "window_length=1000"],
      "config error: window_length"),
@@ -271,6 +281,20 @@ def test_decode_calibration_failure_names_stage(config_file, tmp_path, capsys):
      "config error: --duration"),
     (["render", "--schedule", "{sched}", "--duration", "0.5", "--out", "{tmp}/t.bin"],
      "config error: --duration"),
+    (["simulate", "--payload-hex", "41", "--seed", "-1"], "config error: rng_seed"),
+    (["sweep", "--parameter", "noise_sigma", "--values", "0", "--seed", "-3"],
+     "config error: rng_seed"),
+    (["sweep", "--parameter", "window_length", "--values", "4096,4096.5"],
+     "config error: window_length"),
+    (["sweep", "--parameter", "window_length", "--values", "nan"],
+     "config error: sweep values"),
+    # a sweep runs every window with half a window as its hop
+    (["sweep", "--parameter", "noise_sigma", "--values", "0", "--set", "hop=3"],
+     "config error: hop"),
+    (["render", "--schedule", "{sched}", "--duration", "nan", "--out", "{tmp}/t.bin"],
+     "config error: --duration"),
+    (["render", "--schedule", "{sched}", "--duration", "inf", "--out", "{tmp}/t.bin"],
+     "config error: --duration"),
 ])
 def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
                                              capsys, monkeypatch):
@@ -279,15 +303,28 @@ def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp
     sched = tmp_path / "sched.txt"
     sched.write_text("# initial_level=137\n0.5 135\n")  # needs >= 0.501 s
 
-    def no_render(*args, **kwargs):
-        raise AssertionError("rendered despite bad input")
-
     # every render, streamed or whole, starts with these kernels
-    monkeypatch.setattr(_kernels, "level_fill", no_render)
-    monkeypatch.setattr(_kernels, "pwm_wave", no_render)
+    monkeypatch.setattr(_kernels, "level_fill", _no_render)
+    monkeypatch.setattr(_kernels, "pwm_wave", _no_render)
     argv = [a.format(tmp=tmp_path, level=level, sched=sched) for a in command]
     assert cli.main(argv + ["--config", config_file]) == cli.EXIT_CONFIG_ERROR
     err = _one_line_error(capsys)
     assert err.startswith(fragment)
     if "{level}" in command:
         assert "LevelTrace" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from([f.name for cls in (ChannelConfig, SymbolAlphabet)
+                            for f in dataclasses.fields(cls)
+                            if isinstance(f.default, float)]),
+       value=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_config_value_exit_two(key, value):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            mock.patch.object(_kernels, "level_fill", _no_render), \
+            mock.patch.object(_kernels, "pwm_wave", _no_render):
+        rc = cli.main(["simulate", "--payload-hex", "41", "--set", f"{key}={value}"])
+    assert rc == cli.EXIT_CONFIG_ERROR
+    line, = err.getvalue().splitlines()
+    assert line.startswith(f"config error: config line 1: {key} ")

@@ -1,12 +1,21 @@
 """Config dataclasses and the flat key/value config format."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lightleak import ChannelConfig, SymbolAlphabet
 from lightleak.config import build_from_values, parse_config_text
 from lightleak.errors import ConfigError
+
+CHANNEL_FLOAT_FIELDS = [f.name for f in dataclasses.fields(ChannelConfig)
+                        if isinstance(f.default, float)]
+FLOAT_FIELDS = CHANNEL_FLOAT_FIELDS + [f.name for f in dataclasses.fields(SymbolAlphabet)
+                                       if isinstance(f.default, float)]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestChannelConfig:
@@ -30,10 +39,16 @@ class TestChannelConfig:
         dict(sensor_time_constant=-1e-6),
         dict(fade_duration=-0.1),
         dict(max_command_rate=0.0),
+        dict(rng_seed=-1),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             ChannelConfig(**bad)
+
+    @given(key=st.sampled_from(CHANNEL_FLOAT_FIELDS), value=st.sampled_from(NON_FINITE))
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ChannelConfig(**{key: value})
 
     def test_replace_revalidates(self):
         cfg = ChannelConfig()
@@ -68,6 +83,11 @@ class TestSymbolAlphabet:
         with pytest.raises(ConfigError):
             SymbolAlphabet(symbol_period=0.0)
 
+    def test_symbol_period_not_nan(self):
+        # +inf stays valid: the never-sending limit, of zero throughput
+        with pytest.raises(ConfigError):
+            SymbolAlphabet(symbol_period=math.nan)
+
 
 class TestConfigText:
     def test_parse_and_split(self):
@@ -98,3 +118,9 @@ class TestConfigText:
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected"):
             parse_config_text("noise_sigma 0.01\n")
+
+    @given(key=st.sampled_from(FLOAT_FIELDS),
+           text=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999"]))
+    def test_non_finite_number(self, key, text):
+        with pytest.raises(ConfigError, match=f"{key} needs a finite number"):
+            build_from_values(parse_config_text(f"{key} = {text}\n"))

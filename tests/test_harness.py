@@ -257,6 +257,13 @@ class TestSweep:
             harness.SweepSpec(parameter="noise_sigma", values=(), trials=1)
         with pytest.raises(ConfigError):
             harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=0)
+        with pytest.raises(ConfigError, match="seed"):
+            harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1, seed=-3)
+        for value in (4096.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=r"window_length|finite"):
+                harness.SweepSpec(parameter="window_length", values=(4096, value), trials=1)
+        with pytest.raises(ConfigError, match="finite"):
+            harness.SweepSpec(parameter="distance", values=(float("inf"),), trials=1)
 
     def test_noiseless_sweep_all_zero_ber(self, fast_link):
         config, alphabet = fast_link
