@@ -5,12 +5,18 @@ adds ambient light and white Gaussian noise, and clamps at zero (no negative
 light).  The sensor integrates the intensity with a first-order low-pass and
 drives an oscillator whose square-wave output frequency is linear in the
 filtered intensity, reaching ``sensor_full_scale_frequency`` at intensity 1.
+
+The streamed link (`link_blocks`) renders one source, the level plan, the
+PWM waveform and one noise draw, and feeds it to one tail per config, the
+optical path and the sensor, so configs that differ only in tail fields
+share the source.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -21,24 +27,45 @@ from .traces import IntensityTrace, PwmTrace, SensorTrace
 from .bulb import CommandSchedule
 
 
+#: the ChannelConfig fields that only the optical path and the sensor read;
+#: configs that differ in nothing else share one transmit half
+TAIL_FIELDS = ("distance", "angle", "ambient_intensity", "noise_sigma",
+               "sensor_full_scale_frequency", "sensor_dark_frequency",
+               "sensor_time_constant")
+
+
+def source_key(config: ChannelConfig) -> tuple:
+    """The config with its tail fields left out: equal keys, equal transmit halves."""
+    return tuple((f.name, getattr(config, f.name)) for f in dataclasses.fields(config)
+                 if f.name not in TAIL_FIELDS)
+
+
+def _light(pwm: np.ndarray, config: ChannelConfig, z: np.ndarray | None) -> np.ndarray:
+    """``pwm * gain + ambient + noise_sigma * z``, clamped at 0 (``z`` unread without noise)."""
+    values = pwm * config.geometric_gain
+    if config.ambient_intensity:
+        values += config.ambient_intensity
+    if config.noise_sigma > 0:
+        values += config.noise_sigma * z
+    return np.maximum(values, 0.0, out=values)
+
+
 def propagate(pwm: PwmTrace, config: ChannelConfig,
               rng: np.random.Generator | None = None) -> IntensityTrace:
     """Light intensity arriving at the sensor for a transmitted PWM waveform.
 
     Per sample: ``I = pwm * cos(angle) * (d_ref/distance)^2 + ambient + noise``
-    clamped at 0.  Noise is white Gaussian drawn from ``rng``; by default a
-    generator seeded with ``config.rng_seed``, so repeated calls are
-    identical.  A block stream passes one generator to every block.
+    clamped at 0.  The noise is ``noise_sigma`` times standard normals drawn
+    from ``rng``; by default a generator seeded with ``config.rng_seed``, so
+    repeated calls are identical.  The streamed link applies the same formula
+    to each block, scaling one shared draw for every config it renders.
     """
-    values = pwm.values * config.geometric_gain
-    if config.ambient_intensity:
-        values = values + config.ambient_intensity
+    z = None
     if config.noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(config.rng_seed)
-        values = values + rng.normal(0.0, config.noise_sigma, values.size)
-    values = np.maximum(values, 0.0)
-    return IntensityTrace(pwm.sample_rate, values)
+        z = rng.standard_normal(pwm.values.size)
+    return IntensityTrace(pwm.sample_rate, _light(pwm.values, config, z))
 
 
 def _oscillate(x: np.ndarray, config: ChannelConfig, y: float,
@@ -83,32 +110,70 @@ def sensor_blocks(schedule: CommandSchedule, config: ChannelConfig,
                   duration: float) -> Iterator[np.ndarray]:
     """The sensor's square wave over ``[0, duration)``, one block of samples at a time.
 
-    The transmitter-to-sensor chain (level, PWM, optical path, sensor) runs
-    on blocks of ``traces.BLOCK_SAMPLES`` samples, each stage carrying its
-    state across block edges: the fade segments and the PWM phase follow the
-    absolute sample index, the PWM period open at the edge keeps its latched
-    duty, one generator draws all the noise, and the low-pass output and the
-    oscillator phase carry over.  The blocks joined are bit for bit the
-    single-pass render, and no stage ever holds more than a block.
-
-    The schedule, duration and PWM resolution are checked here, before the
-    first block is rendered.
+    `link_blocks` with one tail, the same source and tail code a sweep runs
+    with one tail per swept value; each stage carries its state across block
+    edges, the blocks joined are bit for bit the single-pass render, and the
+    schedule, duration and PWM resolution are checked before the first block.
     """
-    plan = bulb.level_plan(schedule, config, duration)
-    step = bulb.pwm_step(config)
-    return _render(plan, step, config)
+    return (wave for wave, in link_blocks(schedule, [config], duration))
 
 
-def _render(plan: bulb.LevelPlan, step: float, config: ChannelConfig) -> Iterator[np.ndarray]:
-    rng = np.random.default_rng(config.rng_seed) if config.noise_sigma > 0 else None
-    duty, y, phi = 0.0, None, 0.0
+def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
+                duration: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """The sensor square waves of several configs of one link, a block of each per step.
+
+    The configs must agree on every field outside `TAIL_FIELDS`.  One source
+    renders what those fields fix: the level plan, the PWM waveform and one
+    standard-normal draw from ``rng_seed`` (only if some config has noise).
+    One tail per config turns them into light (`propagate`'s formula, its
+    ``noise_sigma`` scaling the shared draw) and runs its sensor.  So a noise
+    or distance sweep renders the transmit half once for all its values.
+
+    Both halves run on blocks of ``traces.BLOCK_SAMPLES`` samples and carry
+    their state across block edges: the fade segments and the PWM phase
+    follow the absolute sample index, the PWM period open at the edge keeps
+    its latched duty, one generator draws all the noise, and each tail's
+    low-pass output and oscillator phase carry over.  Each tail's blocks
+    joined are bit for bit its single-pass render, and no stage holds more
+    than a block.  The schedule, duration and PWM resolution are checked
+    here, before the first block is rendered.
+    """
+    configs = tuple(configs)
+    if len({source_key(config) for config in configs}) != 1:
+        raise ConfigError("the configs of one link must differ only in "
+                          f"{', '.join(TAIL_FIELDS)}")
+    first = configs[0]
+    plan = bulb.level_plan(schedule, first, duration)
+    step = bulb.pwm_step(first)
+    noisy = any(config.noise_sigma > 0 for config in configs)
+    rng = np.random.default_rng(first.rng_seed) if noisy else None
+    return _tails(_source(plan, step, rng), configs)
+
+
+def _source(plan: bulb.LevelPlan, step: float,
+            rng: np.random.Generator | None) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The transmit half: each block's PWM waveform and standard normals (None without noise)."""
+    duty = 0.0
     for start in range(0, plan.n, traces.BLOCK_SAMPLES):
         stop = min(start + traces.BLOCK_SAMPLES, plan.n)
         pwm, duty = _kernels.pwm_wave(plan.render(start, stop), step, start, duty)
-        x = propagate(PwmTrace(config.sample_rate, pwm), config, rng).values
-        # the filter starts in steady state at the first sample
-        wave, y, phi = _oscillate(x, config, x[0] if y is None else y, phi)
-        yield wave
+        yield pwm, None if rng is None else rng.standard_normal(stop - start)
+
+
+def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each config's optical path and sensor over the source blocks, in lockstep."""
+    # (filter output, oscillator phase) per tail; the filter starts in
+    # steady state at the first sample
+    carry = [(None, 0.0)] * len(configs)
+    for pwm, z in source:
+        waves = []
+        for k, config in enumerate(configs):
+            x = _light(pwm, config, z)
+            y, phi = carry[k]
+            wave, y, phi = _oscillate(x, config, x[0] if y is None else y, phi)
+            carry[k] = (y, phi)
+            waves.append(wave)
+        yield tuple(waves)
 
 
 def simulate_link(schedule: CommandSchedule, config: ChannelConfig,

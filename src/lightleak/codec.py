@@ -72,6 +72,10 @@ class DecodeReport:
     parity_failures: int
     ber: float | None
     mean_confidence: float | None
+    #: index into ``bits`` where the preamble was found
+    sync: int | None = None
+    #: the plateaus the bits were classified with, when the harness decoded them
+    calibration: Calibration | None = None
 
     def __post_init__(self):
         if self.ber is not None and not 0.0 <= self.ber <= 1.0:
@@ -320,6 +324,7 @@ def decode_frame(bits, reference: bytes | None = None,
         parity_failures=parity_failures,
         ber=ber,
         mean_confidence=mean_confidence,
+        sync=sync,
     )
 
 

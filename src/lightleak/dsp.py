@@ -118,7 +118,8 @@ class _Framer:
             self._batch(buf[first:first + self._span])
             first += self._step
         self._skip = max(0, first - buf.size)
-        self._pending = [buf[first:]]
+        # copy the leftover (under one batch span) so the joined buffer is freed
+        self._pending = [buf[first:].copy()]
         self._held = self._pending[0].size
 
     def close(self) -> None:
@@ -142,7 +143,9 @@ def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
     block = sliding_window_view(segment, window.size)[::hop].astype(np.float64)
     block -= block.mean(axis=1, keepdims=True)
     block *= window
-    return np.abs(np.fft.rfft(block, axis=1))
+    spectra = np.fft.rfft(block, axis=1)
+    del block  # the frames go before the magnitudes are made: a smaller peak
+    return np.abs(spectra)
 
 
 class _SpectraFill(_Framer):
@@ -282,8 +285,8 @@ class ZeroCrossingTracker(_Tracker):
 TRACKERS = {"stft": StftTracker, "zero_crossing": ZeroCrossingTracker}
 
 
-def track_all(samples, receivers: list[tuple[int, int]], tracker: str = "stft",
-              sample_rate: float | None = None) -> list[FrequencyTrack | DomainError]:
+def track_all(samples, receivers: list, tracker: str = "stft",
+              sample_rate: float | None = None) -> list:
     """Track one sample stream with several receivers in lockstep.
 
     ``samples`` is a SensorTrace, a plain array or an iterator of sample
@@ -293,13 +296,24 @@ def track_all(samples, receivers: list[tuple[int, int]], tracker: str = "stft",
     the stream is produced once and each receiver keeps at most one batch of
     its frames.  Returns, per receiver, its `FrequencyTrack` or the
     `DomainError` it ended with (a stream shorter than its window).
+
+    ``samples`` may instead yield one block per tail at each step, as
+    `channel.link_blocks` does; then ``receivers`` is a list holding one
+    list of pairs per tail, each tail's blocks go to its own receivers, and
+    the outcomes come back nested the same way.
     """
-    blocks, fs = _as_blocks(samples, sample_rate)
-    trackers = [TRACKERS[tracker](window_length, hop, fs) for window_length, hop in receivers]
-    for block in blocks:
-        for each in trackers:
-            each.push(block)
-    return [_finish(each) for each in trackers]
+    steps, fs = _as_blocks(samples, sample_rate)
+    per_tail = bool(receivers) and isinstance(receivers[0], list)
+    if not per_tail:
+        steps, receivers = ((block,) for block in steps), [receivers]
+    trackers = [[TRACKERS[tracker](window_length, hop, fs) for window_length, hop in tail]
+                for tail in receivers]
+    for step in steps:
+        for block, tail in zip(step, trackers, strict=True):
+            for each in tail:
+                each.push(block)
+    tracks = [[_finish(each) for each in tail] for tail in trackers]
+    return tracks if per_tail else tracks[0]
 
 
 def _finish(tracker: _Tracker) -> FrequencyTrack | DomainError:

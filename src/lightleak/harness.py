@@ -3,12 +3,16 @@
 ``transmit`` frames the payload into a rate-limited brightness schedule;
 ``receive`` tracks a sensor trace's frequency, calibrates from the preamble,
 classifies symbols and decodes.  ``run_end_to_end`` joins the two through
-``channel.sensor_blocks``, block by block.  The CLI uses the same pieces, so
-the file pipeline and the in-memory one cannot drift apart.  Everything is
-deterministic given the config seed.
+``channel.link_blocks`` with one tail and one receiver, block by block.  The
+CLI uses the same pieces, so the file pipeline and the in-memory one cannot
+drift apart.  Everything is deterministic given the config seed.
 
 ``sweep`` repeats that over one swept parameter with independent trial seeds,
-reporting mean bit error rate and calibration-failure rate per point.
+reporting mean bit error rate and calibration-failure rate per point.  It
+shares work across the values: values that leave the transmit half alone
+(level, PWM and the noise draw) render it once per trial, each distinct
+config among them is one tail of that render, and each tail's sensor stream
+is fanned out to the ``(window_length, hop)`` receivers of its values.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,29 +163,38 @@ def transmit(config: ChannelConfig, alphabet: SymbolAlphabet,
     return schedule, link_duration(schedule, config, alphabet)
 
 
-def receive_all(sensor, alphabet: SymbolAlphabet, receivers: list[tuple[int, int]],
+def receive_all(sensor, alphabet: SymbolAlphabet, receivers: list,
                 tracker: str = "stft", reference: bytes | None = None,
-                sample_rate: float | None = None) -> list[DecodeReport | LightLeakError]:
+                sample_rate: float | None = None) -> list:
     """Decode one sensor stream with several receivers, fed in lockstep.
 
     ``sensor`` is a SensorTrace, or an iterator of sample blocks at
     ``sample_rate`` such as `channel.sensor_blocks` returns; it is read once,
     and every block goes to every receiver.  ``receivers`` lists
-    ``(window_length, hop)`` pairs that passed `check_receiver`.
-    ``reference``, when given, is the sent payload the bit error rate is
-    measured against.  Returns one outcome per receiver: its `DecodeReport`,
-    or the `LightLeakError` it failed with, carrying the failing stage in
-    ``.stage``.  An error of the stream itself is raised, not returned.
+    ``(window_length, hop)`` pairs that passed `check_receiver`.  A stream of
+    one block per tail per step, from `channel.link_blocks`, takes one such
+    list per tail instead, and its outcomes nest the same way (see
+    `dsp.track_all`).  ``reference``, when given, is the sent payload the bit
+    error rate is measured against.  Returns one outcome per receiver: its
+    `DecodeReport`, or the `LightLeakError` it failed with, carrying the
+    failing stage in ``.stage`` and no traceback, so a kept outcome pins no
+    receiver state.  An error of the stream itself is raised, not returned.
     """
     with _stage("track"):
         tracks = dsp.track_all(sensor, receivers, tracker, sample_rate)
-    outcomes = []
-    for track in tracks:
-        try:
-            outcomes.append(_decode(track, alphabet, tracker, reference))
-        except LightLeakError as exc:
-            outcomes.append(exc)
-    return outcomes
+    if tracks and isinstance(tracks[0], list):
+        return [[_outcome(track, alphabet, tracker, reference) for track in tail]
+                for tail in tracks]
+    return [_outcome(track, alphabet, tracker, reference) for track in tracks]
+
+
+def _outcome(track, alphabet: SymbolAlphabet, tracker: str,
+             reference: bytes | None) -> DecodeReport | LightLeakError:
+    """`_decode`, or the error it failed with, its traceback dropped."""
+    try:
+        return _decode(track, alphabet, tracker, reference)
+    except LightLeakError as exc:
+        return exc.with_traceback(None)
 
 
 def _decode(track, alphabet: SymbolAlphabet, tracker: str,
@@ -196,8 +209,9 @@ def _decode(track, alphabet: SymbolAlphabet, tracker: str,
         bits, slots = codec.classify_symbols(track, calibration, alphabet,
                                              confidence_floor=CONFIDENCE_FLOORS[tracker])
     with _stage("decode"):
-        return codec.decode_frame(bits, reference=reference,
-                                  confidences=[s.confidence for s in slots])
+        report = codec.decode_frame(bits, reference=reference,
+                                    confidences=[s.confidence for s in slots])
+    return replace(report, calibration=calibration)
 
 
 def _only(outcomes: list[DecodeReport | LightLeakError]) -> DecodeReport:
@@ -223,11 +237,12 @@ def receive(sensor, alphabet: SymbolAlphabet,
                              reference, sample_rate))
 
 
-def _sensor(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes):
-    """Transmit ``payload`` and start its sensor stream; returns it and the duration."""
-    schedule, duration = transmit(config, alphabet, payload)
+def _link(configs: list[ChannelConfig], alphabet: SymbolAlphabet, payload: bytes):
+    """Transmit ``payload`` and start the sensor stream of each config, which
+    share their transmit half; returns `channel.link_blocks` and the duration."""
+    schedule, duration = transmit(configs[0], alphabet, payload)
     with _stage("render"):
-        return channel.sensor_blocks(schedule, config, duration), duration
+        return channel.link_blocks(schedule, configs, duration), duration
 
 
 def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: bytes,
@@ -244,9 +259,10 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     hop = check_receiver(window_length, hop, tracker)
     check_symbol_timing(config, alphabet, window_length, stacklevel=3)
     started = time.perf_counter()
-    sensor, duration = _sensor(config, alphabet, payload)
-    report = receive(sensor, alphabet, window_length, hop, tracker, reference=payload,
-                     sample_rate=config.sample_rate)
+    steps, duration = _link([config], alphabet, payload)
+    tail, = receive_all(steps, alphabet, [[(window_length, hop)]], tracker,
+                        reference=payload, sample_rate=config.sample_rate)
+    report = _only(tail)
     return RunResult(
         payload=payload,
         report=report,
@@ -272,36 +288,47 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
 
     Each value's receiver and symbol timing are checked once, before
     anything is rendered; a value that fails them counts every trial as a
-    decode error.  Values that leave the link itself unchanged (the
-    ``window_length`` values) share one render per trial, fanned out to all
-    their receivers by `receive_all`.  A trial that fails calibration (or any
-    later decode stage) counts as a completely lost transmission: its bit
-    error rate is 1.  Rows come back ordered by parameter value.
+    decode error.  The values are grouped by the transmit half they leave,
+    ``(channel.source_key(config), alphabet)``, and each group renders that
+    half once per trial (`channel.link_blocks`): each distinct config in the
+    group becomes one tail of the render, and each tail's sensor stream is
+    fanned out by `receive_all` to the ``(window_length, hop)`` receivers of
+    its values.  So a ``noise_sigma`` or ``distance`` sweep renders level,
+    PWM and noise once per trial for all its values, and a ``window_length``
+    sweep is one tail with one receiver per window.  A trial that fails
+    calibration (or any later decode stage) counts as a completely lost
+    transmission: its bit error rate is 1.  Failed outcomes are kept without
+    their traceback.  Rows come back ordered by parameter value.
     """
     values = sorted(spec.values)
     outcomes = [[] for _ in values]
-    links: dict = {}  # (config, alphabet) -> [(value index, window, hop)]
+    # (source key, alphabet) -> {config: [(value index, window, hop)]}
+    links: dict = {}
     for i, value in enumerate(values):
         config, alphabet, window = _apply_parameter(spec, value)
         try:
             hop = check_receiver(window, None, spec.tracker)
             check_symbol_timing(config, alphabet, window)
         except LightLeakError as exc:
-            outcomes[i] = [exc] * spec.trials
+            outcomes[i] = [exc.with_traceback(None)] * spec.trials
             continue
-        links.setdefault((config, alphabet), []).append((i, window, hop))
-    for (config, alphabet), group in links.items():
-        receivers = [(window, hop) for _, window, hop in group]
+        tails = links.setdefault((channel.source_key(config), alphabet), {})
+        tails.setdefault(config, []).append((i, window, hop))
+    for (_, alphabet), tails in links.items():
+        receivers = [[(window, hop) for _, window, hop in group] for group in tails.values()]
         for trial in range(spec.trials):
+            configs = [config.replace(rng_seed=spec.seed + trial) for config in tails]
             try:
-                sensor, _ = _sensor(config.replace(rng_seed=spec.seed + trial), alphabet,
-                                    spec.payload)
-                results = receive_all(sensor, alphabet, receivers, spec.tracker,
-                                      reference=spec.payload, sample_rate=config.sample_rate)
+                steps, _ = _link(configs, alphabet, spec.payload)
+                results = receive_all(steps, alphabet, receivers, spec.tracker,
+                                      reference=spec.payload,
+                                      sample_rate=configs[0].sample_rate)
             except LightLeakError as exc:
-                results = [exc] * len(group)
-            for (i, _, _), result in zip(group, results):
-                outcomes[i].append(result)
+                exc = exc.with_traceback(None)
+                results = [[exc] * len(group) for group in receivers]
+            for group, tail in zip(tails.values(), results):
+                for (i, _, _), result in zip(group, tail):
+                    outcomes[i].append(result)
     return [_point(value, trials) for value, trials in zip(values, outcomes)]
 
 

@@ -13,7 +13,7 @@ import pytest
 from conftest import measured_frequency
 
 import lightleak as ll
-from lightleak import cli, harness
+from lightleak import cli, fileio, harness
 from lightleak.traces import IntensityTrace, LevelTrace
 
 
@@ -114,6 +114,15 @@ def test_criterion_5_end_to_end_round_trip(round_trip_result):
     assert result.wall_time < 60.0
     announce(5, f"8-byte payload at 100 bit/s decoded with ber 0 "
                 f"({result.samples_processed} samples in {result.wall_time:.1f} s)")
+
+
+def test_criterion_5_report_names_calibration_and_sync(round_trip_result):
+    report = round_trip_result.report
+    assert report.calibration.f_zero < report.calibration.f_one
+    assert report.sync >= 0
+    # the report file shows neither, so criterion-9 reports stay as they were
+    text = fileio.format_report(report)
+    assert "sync" not in text and "f_zero" not in text
 
 
 def test_criterion_6_noise_degradation():

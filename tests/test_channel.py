@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import measured_frequency
 
@@ -186,3 +188,36 @@ class TestBlockEdges:
         with pytest.raises(ConfigError, match="resolve the PWM"):
             channel.sensor_blocks(self.SCHEDULE, cfg.replace(pwm_frequency=200_000.0),
                                   self.DURATION)
+
+
+class TestLinkTails:
+    """Several configs of one link: one source, one tail each."""
+
+    CONFIG = TestBlockEdges.CONFIG
+    SCHEDULE = TestBlockEdges.SCHEDULE
+
+    @settings(max_examples=25, deadline=None)
+    @given(tails=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.05, 1.0)),
+                          min_size=1, max_size=4),
+           noiseless_distance=st.floats(0.05, 1.0),
+           # past the last fade (0.0065 s), and not on a block edge
+           n=st.integers(65_001, 3 * traces.BLOCK_SAMPLES).filter(
+               lambda n: n % traces.BLOCK_SAMPLES != 0))
+    def test_each_tail_is_its_own_link(self, tails, noiseless_distance, n):
+        configs = [self.CONFIG.replace(noise_sigma=sigma, distance=distance)
+                   for sigma, distance in [(0.0, noiseless_distance), *tails]]
+        duration = n / self.CONFIG.sample_rate
+        steps = list(channel.link_blocks(self.SCHEDULE, configs, duration))
+        assert all(len(step) == len(configs) for step in steps)
+        pwm = bulb.render_pwm(bulb.render_level_trace(self.SCHEDULE, self.CONFIG, duration),
+                              self.CONFIG)
+        for k, config in enumerate(configs):
+            joined = np.concatenate([step[k] for step in steps])
+            assert joined.size == n
+            assert np.array_equal(joined, simulate_link(self.SCHEDULE, config, duration).values)
+            assert np.array_equal(joined, sensor_response(propagate(pwm, config), config).values)
+
+    def test_configs_must_share_the_transmit_half(self):
+        with pytest.raises(ConfigError, match="differ only in"):
+            channel.link_blocks(self.SCHEDULE, [self.CONFIG, self.CONFIG.replace(rng_seed=4)],
+                                TestBlockEdges.DURATION)

@@ -3,7 +3,11 @@
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightleak
 from lightleak import ChannelConfig, SymbolAlphabet, _kernels, cli, fileio
 from lightleak.traces import LevelTrace
 
@@ -328,3 +333,22 @@ def test_non_finite_config_value_exit_two(key, value):
     assert rc == cli.EXIT_CONFIG_ERROR
     line, = err.getvalue().splitlines()
     assert line.startswith(f"config error: config line 1: {key} ")
+
+
+def _run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m lightleak ARGS`` in a fresh interpreter, the package found
+    on PYTHONPATH as it is found here."""
+    src = str(Path(lightleak.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lightleak", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+                          check=False)
+
+
+def test_python_m_runs_the_cli():
+    done = _run_module("--help")
+    assert done.returncode == cli.EXIT_OK
+    assert done.stdout.startswith("usage: lightleak")
+    done = _run_module("simulate", "--payload-hex", "zz")
+    assert done.returncode == cli.EXIT_CONFIG_ERROR
+    assert done.stderr == "config error: --payload-hex is not valid hex: 'zz'\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lightleak as ll
-from lightleak import _kernels, channel, codec, fileio, harness
+from lightleak import _kernels, bulb, channel, codec, fileio, harness, traces
 from lightleak.errors import (
     CalibrationError,
     ConfigError,
@@ -157,20 +157,62 @@ def test_sweep_peak_memory_flat_in_transmission_length():
     assert long <= 1.25 * short, f"{long / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
 
 
+def _noise_sweep_peak(payload: bytes, trials: int) -> tuple[int, int]:
+    """Peak bytes traced while a four-value criterion-6 noise sweep runs, and
+    the samples one of its transmissions renders."""
+    spec = harness.SweepSpec(
+        parameter="noise_sigma", values=(0.0, 0.002, 0.01, 0.05), trials=trials,
+        config=ll.ChannelConfig(distance=0.3, fade_duration=0.001, max_command_rate=1000.0),
+        alphabet=ll.SymbolAlphabet(symbol_period=0.003), payload=payload, seed=1)
+    tracemalloc.start()
+    try:
+        points = harness.sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.trials for p in points] == [trials] * 4
+    # sigma 0.05 fails calibration: its errors are kept, their frames are not
+    assert points[-1].calibration_failure_rate > 0.0
+    _, duration = harness.transmit(spec.config, spec.alphabet, payload)
+    return peak, bulb.sample_count(spec.config, duration)
+
+
+def test_noise_sweep_peak_memory_flat_in_transmission_length():
+    # 2 bytes render 2.52 M samples per value, 8 bytes 5.76 M; the four
+    # values share one transmit half and each keeps one sensor tail
+    short, short_n = _noise_sweep_peak(b"\xa5\x3c", trials=1)
+    long, long_n = _noise_sweep_peak(bytes(range(8)), trials=1)
+    assert long <= 1.25 * short, f"{long / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
+    # holding even one 1 B/sample sensor trace would grow faster than this
+    assert long - short < 0.25 * (long_n - short_n)
+    # kept outcomes (the sigma 0.05 errors among them) pin no receiver state
+    repeated, _ = _noise_sweep_peak(b"\xa5\x3c", trials=4)
+    assert repeated <= 1.25 * short, f"{repeated / 1e6:.1f} MB vs {short / 1e6:.1f} MB"
+
+
 class TestWindowFanOut:
-    """A window sweep renders once per trial and feeds every window from it."""
+    """A sweep renders its transmit half once per trial and feeds every value from it.
+
+    Window values share one tail and differ in their receivers; noise and
+    distance values share the source and differ in their tails.
+    """
 
     @staticmethod
     def _reference(spec) -> list:
         """The sweep's points, one `run_end_to_end` per value and trial."""
         points = []
         for value in sorted(spec.values):
+            config, window = spec.config, spec.window_length
+            if spec.parameter == "window_length":
+                window = int(value)
+            else:
+                config = config.replace(**{spec.parameter: float(value)})
             outcomes = []
             for trial in range(spec.trials):
                 try:
                     outcomes.append(ll.run_end_to_end(
-                        spec.config.replace(rng_seed=spec.seed + trial), spec.alphabet,
-                        spec.payload, window_length=int(value),
+                        config.replace(rng_seed=spec.seed + trial), spec.alphabet,
+                        spec.payload, window_length=window,
                         tracker=spec.tracker).report.ber)
                 except LightLeakError as exc:
                     outcomes.append(exc)
@@ -191,32 +233,42 @@ class TestWindowFanOut:
         return result, list(dict.fromkeys(str(w.message) for w in caught))
 
     # 1000 is no power of two; 2**22 is longer than the 2.4 M-sample trace;
-    # 16384 and 32768 crowd the 3 ms slots and warn
-    @pytest.mark.parametrize("values, tracker", [
-        ((8192, 1024, 4096, 2048), "stft"),
-        ((1000, 2048, 4096), "stft"),
-        ((2048, 2 ** 22), "stft"),
-        ((4096, 16384, 32768), "stft"),
-        ((1024, 2048, 4096), "zero_crossing"),
+    # 16384 and 32768 crowd the 3 ms slots and warn; noise (1.0 at 0.4 m,
+    # 0.1 and 0.3 for zero crossing) and 0.6 m fail calibration
+    @pytest.mark.parametrize("parameter, values, tracker, changes", [
+        ("window_length", (8192, 1024, 4096, 2048), "stft", {}),
+        ("window_length", (1000, 2048, 4096), "stft", {}),
+        ("window_length", (2048, 2 ** 22), "stft", {}),
+        ("window_length", (4096, 16384, 32768), "stft", {}),
+        ("window_length", (1024, 2048, 4096), "zero_crossing", {}),
+        ("noise_sigma", (0.01, 0.0, 1.0, 0.002), "stft",
+         dict(distance=0.4, ambient_intensity=0.01)),
+        ("noise_sigma", (0.3, 0.0, 0.1), "zero_crossing", {}),
+        ("distance", (0.6, 0.1, 0.3), "stft", dict(noise_sigma=0.004, ambient_intensity=0.01)),
     ], ids=["four_windows", "invalid_window", "window_past_trace", "warnings",
-            "zero_crossing"])
-    def test_one_render_per_trial(self, fast_link, monkeypatch, values, tracker):
+            "zero_crossing", "noise_sigma", "noise_sigma_zero_crossing", "distance"])
+    def test_one_render_per_trial(self, fast_link, monkeypatch, parameter, values, tracker,
+                                  changes):
         config, alphabet = fast_link
         spec = harness.SweepSpec(
-            parameter="window_length", values=values, trials=2, config=config,
+            parameter=parameter, values=values, trials=2, config=config.replace(**changes),
             alphabet=alphabet, payload=b"\x5a", tracker=tracker, seed=4)
         want, want_warnings = self._messages(lambda: self._reference(spec))
 
-        renders = []
-        sensor_blocks = channel.sensor_blocks
+        # every value's link has this many samples, the same blocks
+        _, duration = harness.transmit(spec.config, alphabet, spec.payload)
+        blocks = -(-bulb.sample_count(spec.config, duration) // traces.BLOCK_SAMPLES)
+        passes = {"level_fill": 0, "pwm_wave": 0}
+        for name in passes:
+            kernel = getattr(_kernels, name)
 
-        def counted(*args, **kwargs):
-            renders.append(1)
-            return sensor_blocks(*args, **kwargs)
+            def counted(*args, name=name, kernel=kernel, **kwargs):
+                passes[name] += 1
+                return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(channel, "sensor_blocks", counted)
+            monkeypatch.setattr(_kernels, name, counted)
         got, got_warnings = self._messages(lambda: harness.sweep(spec))
-        assert len(renders) == spec.trials
+        assert passes == {"level_fill": spec.trials * blocks, "pwm_wave": spec.trials * blocks}
         assert got == want
         assert got_warnings == want_warnings
 
@@ -247,6 +299,23 @@ class TestReceiveAll:
             harness.receive(sensor, alphabet, 2 ** 22)
         assert exc_info.value.stage == "track"
         assert str(exc_info.value) == str(short)
+
+
+    def test_one_stream_per_tail(self, fast_link):
+        config, alphabet = fast_link
+        config = config.replace(distance=0.4, ambient_intensity=0.01)
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        configs = [config, config.replace(noise_sigma=1.0)]
+        steps = channel.link_blocks(schedule, configs, duration)
+        (ok,), (noisy, short) = harness.receive_all(
+            steps, alphabet, [[(4096, 2048)], [(4096, 2048), (2 ** 22, 2 ** 21)]],
+            reference=b"\x41", sample_rate=config.sample_rate)
+        assert ok.payload == b"\x41" and ok.ber == 0.0
+        assert ok.sync >= 0 and ok.calibration.f_zero < ok.calibration.f_one
+        assert isinstance(noisy, CalibrationError) and noisy.stage == "calibrate"
+        assert isinstance(short, DomainError) and short.stage == "track"
+        # a kept error holds no frames, so it pins no tracker or track
+        assert noisy.__traceback__ is None and short.__traceback__ is None
 
 
 class TestSweep:
