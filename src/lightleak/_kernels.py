@@ -18,7 +18,6 @@ trace block by block therefore gives the same bits as one pass over it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 #: the kernel implementation, recorded with benchmark results
 BACKEND = "numpy"
@@ -83,6 +82,8 @@ def lowpass(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:
     """First-order low-pass ``y[i] = alpha*x[i] + (1-alpha)*y[i-1]``, y[-1]=y0."""
     if x.size == 0:
         return np.zeros(0, dtype=np.float64)
+    # imported here: scipy.signal is most of the package's import time
+    from scipy.signal import lfilter
     beta = 1.0 - alpha
     # direct-form II transposed with this b/a is the identical recurrence
     y, _ = lfilter([alpha], [1.0, alpha - 1.0], x, zi=np.array([beta * y0]))

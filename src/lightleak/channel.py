@@ -6,10 +6,11 @@ light).  The sensor integrates the intensity with a first-order low-pass and
 drives an oscillator whose square-wave output frequency is linear in the
 filtered intensity, reaching ``sensor_full_scale_frequency`` at intensity 1.
 
-The streamed link (`link_blocks`) renders one source, the level plan, the
+The link is streamed (`link_blocks`): one source renders the level plan, the
 PWM waveform and one noise draw, and feeds it to one tail per config, the
 optical path and the sensor, so configs that differ only in tail fields
-share the source.
+share the source.  Each step yields one block per tail; a single link is the
+one-tail case, and `simulate_link` joins its blocks into one trace.
 """
 
 from __future__ import annotations
@@ -50,21 +51,17 @@ def _light(pwm: np.ndarray, config: ChannelConfig, z: np.ndarray | None) -> np.n
     return np.maximum(values, 0.0, out=values)
 
 
-def propagate(pwm: PwmTrace, config: ChannelConfig,
-              rng: np.random.Generator | None = None) -> IntensityTrace:
+def propagate(pwm: PwmTrace, config: ChannelConfig) -> IntensityTrace:
     """Light intensity arriving at the sensor for a transmitted PWM waveform.
 
     Per sample: ``I = pwm * cos(angle) * (d_ref/distance)^2 + ambient + noise``
     clamped at 0.  The noise is ``noise_sigma`` times standard normals drawn
-    from ``rng``; by default a generator seeded with ``config.rng_seed``, so
-    repeated calls are identical.  The streamed link applies the same formula
-    to each block, scaling one shared draw for every config it renders.
+    from ``config.rng_seed``, so repeated calls are identical.  The streamed
+    link applies the same formula to each block.
     """
     z = None
     if config.noise_sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng(config.rng_seed)
-        z = rng.standard_normal(pwm.values.size)
+        z = np.random.default_rng(config.rng_seed).standard_normal(pwm.values.size)
     return IntensityTrace(pwm.sample_rate, _light(pwm.values, config, z))
 
 
@@ -106,23 +103,12 @@ def sensor_response(intensity: IntensityTrace, config: ChannelConfig) -> SensorT
     return SensorTrace(config.sample_rate, wave)
 
 
-def sensor_blocks(schedule: CommandSchedule, config: ChannelConfig,
-                  duration: float) -> Iterator[np.ndarray]:
-    """The sensor's square wave over ``[0, duration)``, one block of samples at a time.
-
-    `link_blocks` with one tail, the same source and tail code a sweep runs
-    with one tail per swept value; each stage carries its state across block
-    edges, the blocks joined are bit for bit the single-pass render, and the
-    schedule, duration and PWM resolution are checked before the first block.
-    """
-    return (wave for wave, in link_blocks(schedule, [config], duration))
-
-
 def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
                 duration: float) -> Iterator[tuple[np.ndarray, ...]]:
     """The sensor square waves of several configs of one link, a block of each per step.
 
-    The configs must agree on every field outside `TAIL_FIELDS`.  One source
+    Each step is a tuple of one block per config, in config order.  The
+    configs must agree on every field outside `TAIL_FIELDS`.  One source
     renders what those fields fix: the level plan, the PWM waveform and one
     standard-normal draw from ``rng_seed`` (only if some config has noise).
     One tail per config turns them into light (`propagate`'s formula, its
@@ -179,10 +165,10 @@ def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndar
 def simulate_link(schedule: CommandSchedule, config: ChannelConfig,
                   duration: float) -> SensorTrace:
     """Full transmitter-to-sensor chain for a command schedule, as one trace."""
-    blocks = sensor_blocks(schedule, config, duration)
+    blocks = link_blocks(schedule, [config], duration)
     values = np.empty(bulb.sample_count(config, duration), dtype=np.uint8)
     start = 0
-    for block in blocks:
+    for block, in blocks:
         values[start:start + block.size] = block
         start += block.size
     return SensorTrace(config.sample_rate, values)

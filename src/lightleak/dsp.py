@@ -7,7 +7,10 @@ The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
 cross-check.  Both are pushed one block of samples at a time and track each
 batch of frames as soon as it is complete, so a long capture never has to be
-held whole, and one stream can feed several receivers in lockstep.
+held whole, and one stream can feed several receivers in lockstep.  A stream
+yields one block per tail at each step, as `channel.link_blocks` does (a
+trace or an array is one tail); a receiver is a ``(tail, window_length,
+hop)`` triple.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
-def _as_blocks(samples, sample_rate) -> tuple[Iterable[np.ndarray], float]:
-    """Blocks and sample rate of a SensorTrace, a plain array or an iterator of blocks."""
+def _as_stream(samples, sample_rate) -> tuple[Iterable[tuple[np.ndarray, ...]], float]:
+    """Steps and sample rate of a stream; a SensorTrace or an array is one tail."""
     if isinstance(samples, SensorTrace):
-        return traces.blocks(samples.values), samples.sample_rate
-    if sample_rate is None:
+        samples, sample_rate = samples.values, samples.sample_rate
+    elif sample_rate is None:
         raise DomainError("sample_rate is required for plain arrays and block streams")
-    if isinstance(samples, Iterator):
-        return samples, float(sample_rate)
-    return traces.blocks(np.asarray(samples)), float(sample_rate)
+    if not isinstance(samples, Iterator):
+        samples = ((block,) for block in traces.blocks(np.asarray(samples)))
+    return samples, float(sample_rate)
 
 
 def check_framing(window_length: int, hop: int) -> None:
@@ -176,9 +179,9 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     if isinstance(samples, Iterator):
         raise DomainError("stft needs a SensorTrace or an array; track a block stream "
                           "with stft_track")
-    blocks, fs = _as_blocks(samples, sample_rate)
+    steps, fs = _as_stream(samples, sample_rate)
     spectra = _SpectraFill(window_length, hop, len(samples))
-    for block in blocks:
+    for block, in steps:
         spectra.push(block)
     spectra.close()
     times = _frame_times(spectra.mags.shape[0], window_length, hop, fs)
@@ -287,33 +290,24 @@ TRACKERS = {"stft": StftTracker, "zero_crossing": ZeroCrossingTracker}
 
 def track_all(samples, receivers: list, tracker: str = "stft",
               sample_rate: float | None = None) -> list:
-    """Track one sample stream with several receivers in lockstep.
+    """Track one stream with several receivers in lockstep.
 
-    ``samples`` is a SensorTrace, a plain array or an iterator of sample
-    blocks (the last two with ``sample_rate``); ``receivers`` lists
-    ``(window_length, hop)`` pairs, each run by a ``TRACKERS[tracker]``.
-    Every block goes to every receiver before the next block is drawn, so
-    the stream is produced once and each receiver keeps at most one batch of
-    its frames.  Returns, per receiver, its `FrequencyTrack` or the
-    `DomainError` it ended with (a stream shorter than its window).
-
-    ``samples`` may instead yield one block per tail at each step, as
-    `channel.link_blocks` does; then ``receivers`` is a list holding one
-    list of pairs per tail, each tail's blocks go to its own receivers, and
-    the outcomes come back nested the same way.
+    ``samples`` is a SensorTrace, a plain array or an iterator of steps (the
+    last two with ``sample_rate``); ``receivers`` lists ``(tail,
+    window_length, hop)`` triples, each run by a ``TRACKERS[tracker]`` on the
+    blocks of its tail.  Every step goes to every receiver before the next
+    step is drawn, so the stream is produced once and each receiver keeps at
+    most one batch of its frames.  Returns, per receiver and in receiver
+    order, its `FrequencyTrack` or the `DomainError` it ended with (a stream
+    shorter than its window).
     """
-    steps, fs = _as_blocks(samples, sample_rate)
-    per_tail = bool(receivers) and isinstance(receivers[0], list)
-    if not per_tail:
-        steps, receivers = ((block,) for block in steps), [receivers]
-    trackers = [[TRACKERS[tracker](window_length, hop, fs) for window_length, hop in tail]
-                for tail in receivers]
+    steps, fs = _as_stream(samples, sample_rate)
+    trackers = [(tail, TRACKERS[tracker](window_length, hop, fs))
+                for tail, window_length, hop in receivers]
     for step in steps:
-        for block, tail in zip(step, trackers, strict=True):
-            for each in tail:
-                each.push(block)
-    tracks = [[_finish(each) for each in tail] for tail in trackers]
-    return tracks if per_tail else tracks[0]
+        for tail, each in trackers:
+            each.push(step[tail])
+    return [_finish(each) for _, each in trackers]
 
 
 def _finish(tracker: _Tracker) -> FrequencyTrack | DomainError:
@@ -324,7 +318,7 @@ def _finish(tracker: _Tracker) -> FrequencyTrack | DomainError:
 
 
 def _track_one(samples, window_length, hop, tracker, sample_rate) -> FrequencyTrack:
-    track, = track_all(samples, [(window_length, hop)], tracker, sample_rate)
+    track, = track_all(samples, [(0, window_length, hop)], tracker, sample_rate)
     if isinstance(track, DomainError):
         raise track
     return track
@@ -332,7 +326,7 @@ def _track_one(samples, window_length, hop, tracker, sample_rate) -> FrequencyTr
 
 def stft_track(samples, window_length: int, hop: int,
                sample_rate: float | None = None) -> FrequencyTrack:
-    """`StftTracker` over a SensorTrace, a plain array or an iterator of blocks.
+    """`StftTracker` over a SensorTrace, a plain array or tail 0 of a stream.
 
     Gives the same track as ``dominant_frequency(stft(...))``; the last two
     input kinds need ``sample_rate``.

@@ -1,23 +1,25 @@
 """End-to-end pipeline, metrics, and Monte-Carlo parameter sweeps.
 
 ``transmit`` frames the payload into a rate-limited brightness schedule;
-``receive`` tracks a sensor trace's frequency, calibrates from the preamble,
-classifies symbols and decodes.  ``run_end_to_end`` joins the two through
-``channel.link_blocks`` with one tail and one receiver, block by block.  The
-CLI uses the same pieces, so the file pipeline and the in-memory one cannot
-drift apart.  Everything is deterministic given the config seed.
+``receive_all`` tracks a sensor stream with ``(tail, window_length, hop)``
+receivers, calibrates from the preamble, classifies symbols and decodes,
+and ``receive`` is its one-receiver case.  ``run_end_to_end`` joins the two
+through ``channel.link_blocks`` with one tail, block by block.  The CLI uses
+the same pieces, so the file pipeline and the in-memory one cannot drift
+apart.  Everything is deterministic given the config seed.
 
 ``sweep`` repeats that over one swept parameter with independent trial seeds,
 reporting mean bit error rate and calibration-failure rate per point.  It
 shares work across the values: values that leave the transmit half alone
 (level, PWM and the noise draw) render it once per trial, each distinct
-config among them is one tail of that render, and each tail's sensor stream
-is fanned out to the ``(window_length, hop)`` receivers of its values.
+config among them is one tail of that render, and one ``receive_all`` over
+that render decodes every value with a receiver on its tail.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -74,13 +76,16 @@ class SweepSpec:
                 f"choose from {SWEEPABLE_PARAMETERS}")
         if not self.values:
             raise ConfigError("sweep needs a non-empty value list")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if len(self.payload) > codec.MAX_PAYLOAD:
+            raise ConfigError(f"payload must be <= {codec.MAX_PAYLOAD} bytes, "
+                              f"got {len(self.payload)}")
         object.__setattr__(self, "values", tuple(self.values))
         for value in self.values:
-            if not math.isfinite(value):
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ConfigError(f"sweep values must be finite numbers, got {value!r}")
             if self.parameter == "window_length" and value != int(value):
                 raise ConfigError(f"window_length values must be integers, got {value!r}")
@@ -168,23 +173,19 @@ def receive_all(sensor, alphabet: SymbolAlphabet, receivers: list,
                 sample_rate: float | None = None) -> list:
     """Decode one sensor stream with several receivers, fed in lockstep.
 
-    ``sensor`` is a SensorTrace, or an iterator of sample blocks at
-    ``sample_rate`` such as `channel.sensor_blocks` returns; it is read once,
-    and every block goes to every receiver.  ``receivers`` lists
-    ``(window_length, hop)`` pairs that passed `check_receiver`.  A stream of
-    one block per tail per step, from `channel.link_blocks`, takes one such
-    list per tail instead, and its outcomes nest the same way (see
+    ``sensor`` is a SensorTrace, or a `channel.link_blocks` stream at
+    ``sample_rate``; it is read once, and every step goes to every receiver.
+    ``receivers`` lists ``(tail, window_length, hop)`` triples whose window
+    and hop passed `check_receiver`; a trace is tail 0 (see
     `dsp.track_all`).  ``reference``, when given, is the sent payload the bit
-    error rate is measured against.  Returns one outcome per receiver: its
-    `DecodeReport`, or the `LightLeakError` it failed with, carrying the
-    failing stage in ``.stage`` and no traceback, so a kept outcome pins no
-    receiver state.  An error of the stream itself is raised, not returned.
+    error rate is measured against.  Returns one outcome per receiver, in
+    receiver order: its `DecodeReport`, or the `LightLeakError` it failed
+    with, carrying the failing stage in ``.stage`` and no traceback, so a
+    kept outcome pins no receiver state.  An error of the stream itself is
+    raised, not returned.
     """
     with _stage("track"):
         tracks = dsp.track_all(sensor, receivers, tracker, sample_rate)
-    if tracks and isinstance(tracks[0], list):
-        return [[_outcome(track, alphabet, tracker, reference) for track in tail]
-                for tail in tracks]
     return [_outcome(track, alphabet, tracker, reference) for track in tracks]
 
 
@@ -214,27 +215,22 @@ def _decode(track, alphabet: SymbolAlphabet, tracker: str,
     return replace(report, calibration=calibration)
 
 
-def _only(outcomes: list[DecodeReport | LightLeakError]) -> DecodeReport:
-    """The report of a one-receiver `receive_all`, or its error raised."""
-    outcome, = outcomes
-    if isinstance(outcome, LightLeakError):
-        raise outcome
-    return outcome
-
-
 def receive(sensor, alphabet: SymbolAlphabet,
             window_length: int = DEFAULT_WINDOW_LENGTH, hop: int | None = None,
             tracker: str = "stft", reference: bytes | None = None,
             sample_rate: float | None = None) -> DecodeReport:
     """Track, calibrate, classify and decode a sensor trace: `receive_all`
-    with one receiver.
+    with one receiver, on tail 0.
 
     Takes the same ``sensor`` and ``reference`` as `receive_all`.  Raises the
     failing stage's error, tagged with ``.stage``.
     """
     hop = check_receiver(window_length, hop, tracker)
-    return _only(receive_all(sensor, alphabet, [(window_length, hop)], tracker,
-                             reference, sample_rate))
+    outcome, = receive_all(sensor, alphabet, [(0, window_length, hop)], tracker,
+                           reference, sample_rate)
+    if isinstance(outcome, LightLeakError):
+        raise outcome
+    return outcome
 
 
 def _link(configs: list[ChannelConfig], alphabet: SymbolAlphabet, payload: bytes):
@@ -260,9 +256,8 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     check_symbol_timing(config, alphabet, window_length, stacklevel=3)
     started = time.perf_counter()
     steps, duration = _link([config], alphabet, payload)
-    tail, = receive_all(steps, alphabet, [[(window_length, hop)]], tracker,
-                        reference=payload, sample_rate=config.sample_rate)
-    report = _only(tail)
+    report = receive(steps, alphabet, window_length, hop, tracker,
+                     reference=payload, sample_rate=config.sample_rate)
     return RunResult(
         payload=payload,
         report=report,
@@ -291,18 +286,18 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     decode error.  The values are grouped by the transmit half they leave,
     ``(channel.source_key(config), alphabet)``, and each group renders that
     half once per trial (`channel.link_blocks`): each distinct config in the
-    group becomes one tail of the render, and each tail's sensor stream is
-    fanned out by `receive_all` to the ``(window_length, hop)`` receivers of
-    its values.  So a ``noise_sigma`` or ``distance`` sweep renders level,
-    PWM and noise once per trial for all its values, and a ``window_length``
-    sweep is one tail with one receiver per window.  A trial that fails
-    calibration (or any later decode stage) counts as a completely lost
-    transmission: its bit error rate is 1.  Failed outcomes are kept without
-    their traceback.  Rows come back ordered by parameter value.
+    group becomes one tail of the render, and each value one ``(tail,
+    window_length, hop)`` receiver of one `receive_all` over it.  So a
+    ``noise_sigma`` or ``distance`` sweep renders level, PWM and noise once
+    per trial for all its values, and a ``window_length`` sweep is one tail
+    with one receiver per window.  A trial that fails calibration (or any
+    later decode stage) counts as a completely lost transmission: its bit
+    error rate is 1.  Failed outcomes are kept without their traceback.
+    Rows come back ordered by parameter value.
     """
     values = sorted(spec.values)
     outcomes = [[] for _ in values]
-    # (source key, alphabet) -> {config: [(value index, window, hop)]}
+    # (source key, alphabet) -> ({config: tail}, [value index], [(tail, window, hop)])
     links: dict = {}
     for i, value in enumerate(values):
         config, alphabet, window = _apply_parameter(spec, value)
@@ -312,10 +307,11 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
         except LightLeakError as exc:
             outcomes[i] = [exc.with_traceback(None)] * spec.trials
             continue
-        tails = links.setdefault((channel.source_key(config), alphabet), {})
-        tails.setdefault(config, []).append((i, window, hop))
-    for (_, alphabet), tails in links.items():
-        receivers = [[(window, hop) for _, window, hop in group] for group in tails.values()]
+        tails, indices, receivers = links.setdefault(
+            (channel.source_key(config), alphabet), ({}, [], []))
+        indices.append(i)
+        receivers.append((tails.setdefault(config, len(tails)), window, hop))
+    for (_, alphabet), (tails, indices, receivers) in links.items():
         for trial in range(spec.trials):
             configs = [config.replace(rng_seed=spec.seed + trial) for config in tails]
             try:
@@ -324,11 +320,9 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
                                       reference=spec.payload,
                                       sample_rate=configs[0].sample_rate)
             except LightLeakError as exc:
-                exc = exc.with_traceback(None)
-                results = [[exc] * len(group) for group in receivers]
-            for group, tail in zip(tails.values(), results):
-                for (i, _, _), result in zip(group, tail):
-                    outcomes[i].append(result)
+                results = [exc.with_traceback(None)] * len(receivers)
+            for i, result in zip(indices, results):
+                outcomes[i].append(result)
     return [_point(value, trials) for value, trials in zip(values, outcomes)]
 
 

@@ -176,7 +176,7 @@ class TestBlockEdges:
                                               == np.floor(edges * step))
         assert block > default.size or np.count_nonzero(
             (edges > 0.0011 * cfg.sample_rate) & (edges < 0.0024 * cfg.sample_rate)) >= 1
-        blocks = list(channel.sensor_blocks(sched, cfg, self.DURATION))
+        blocks = [block for block, in channel.link_blocks(sched, [cfg], self.DURATION)]
         assert max(b.size for b in blocks) == min(block, default.size)
         assert np.array_equal(np.concatenate(blocks), default)
         assert np.array_equal(simulate_link(sched, cfg, self.DURATION).values, default)
@@ -184,10 +184,10 @@ class TestBlockEdges:
     def test_checks_before_the_first_block(self):
         cfg = self.CONFIG
         with pytest.raises(DomainError, match="does not cover"):
-            channel.sensor_blocks(self.SCHEDULE, cfg, 0.001)
+            channel.link_blocks(self.SCHEDULE, [cfg], 0.001)
         with pytest.raises(ConfigError, match="resolve the PWM"):
-            channel.sensor_blocks(self.SCHEDULE, cfg.replace(pwm_frequency=200_000.0),
-                                  self.DURATION)
+            channel.link_blocks(self.SCHEDULE, [cfg.replace(pwm_frequency=200_000.0)],
+                                self.DURATION)
 
 
 class TestLinkTails:

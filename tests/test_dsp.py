@@ -239,9 +239,22 @@ class TestBlockEdges:
         assert np.array_equal(got.frame_times, spec.frame_times)
         assert _tracks_equal(dsp.stft_track(sensor, window, hop), track)
         assert _tracks_equal(zero_crossing_frequency(sensor, window, hop), zero)
-        stream = channel.sensor_blocks(self.SCHEDULE, self.CONFIG, self.DURATION)
+        stream = channel.link_blocks(self.SCHEDULE, [self.CONFIG], self.DURATION)
         assert _tracks_equal(dsp.stft_track(stream, window, hop, self.CONFIG.sample_rate),
                              track)
+
+    def test_each_receiver_tracks_its_own_tail(self, sensor):
+        noisy = self.CONFIG.replace(noise_sigma=0.2, distance=0.3)
+        steps = channel.link_blocks(self.SCHEDULE, [self.CONFIG, noisy], self.DURATION)
+        receivers = [(1, 4096, 2048), (0, 1024, 1500), (1, 2 ** 22, 2 ** 21), (0, 4096, 2048)]
+        got = dsp.track_all(steps, receivers, sample_rate=self.CONFIG.sample_rate)
+        noisy_sensor = simulate_link(self.SCHEDULE, noisy, self.DURATION)
+        for (tail, window, hop), track in zip(receivers, got, strict=True):
+            if window > sensor.values.size:
+                assert isinstance(track, DomainError)
+                continue
+            want = dsp.stft_track((sensor, noisy_sensor)[tail], window, hop)
+            assert _tracks_equal(track, want)
 
     # hops longer than the window skip samples between batches
     @pytest.mark.parametrize("window, hop", [(4, 1), (4, 3), (8, 8), (4, 7), (16, 5), (2, 23)])
@@ -264,7 +277,7 @@ class TestBlockEdges:
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
 
     def test_stream_shorter_than_a_window(self):
-        blocks = iter([np.zeros(100, dtype=np.uint8), np.ones(100, dtype=np.uint8)])
+        blocks = iter([(np.zeros(100, dtype=np.uint8),), (np.ones(100, dtype=np.uint8),)])
         with pytest.raises(DomainError, match="input has 200 samples"):
             dsp.stft_track(blocks, 256, 128, FS)
 

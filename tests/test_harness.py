@@ -290,7 +290,8 @@ class TestReceiveAll:
         config, alphabet = fast_link
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
         sensor = ll.simulate_link(schedule, config, duration)
-        ok, short = harness.receive_all(sensor, alphabet, [(4096, 2048), (2 ** 22, 2 ** 21)],
+        ok, short = harness.receive_all(sensor, alphabet,
+                                        [(0, 4096, 2048), (0, 2 ** 22, 2 ** 21)],
                                         reference=b"\x41")
         assert ok.payload == b"\x41" and ok.ber == 0.0
         assert isinstance(short, DomainError)
@@ -307,8 +308,8 @@ class TestReceiveAll:
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
         configs = [config, config.replace(noise_sigma=1.0)]
         steps = channel.link_blocks(schedule, configs, duration)
-        (ok,), (noisy, short) = harness.receive_all(
-            steps, alphabet, [[(4096, 2048)], [(4096, 2048), (2 ** 22, 2 ** 21)]],
+        ok, noisy, short = harness.receive_all(
+            steps, alphabet, [(0, 4096, 2048), (1, 4096, 2048), (1, 2 ** 22, 2 ** 21)],
             reference=b"\x41", sample_rate=config.sample_rate)
         assert ok.payload == b"\x41" and ok.ber == 0.0
         assert ok.sync >= 0 and ok.calibration.f_zero < ok.calibration.f_one
@@ -316,6 +317,19 @@ class TestReceiveAll:
         assert isinstance(short, DomainError) and short.stage == "track"
         # a kept error holds no frames, so it pins no tracker or track
         assert noisy.__traceback__ is None and short.__traceback__ is None
+
+    def test_outcomes_come_back_in_receiver_order(self, fast_link):
+        config, alphabet = fast_link
+        config = config.replace(distance=0.4, ambient_intensity=0.01)
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        steps = channel.link_blocks(schedule, [config, config.replace(noise_sigma=1.0)],
+                                    duration)
+        noisy, ok, short = harness.receive_all(
+            steps, alphabet, [(1, 4096, 2048), (0, 4096, 2048), (1, 2 ** 22, 2 ** 21)],
+            reference=b"\x41", sample_rate=config.sample_rate)
+        assert isinstance(noisy, CalibrationError) and noisy.stage == "calibrate"
+        assert ok.payload == b"\x41" and ok.ber == 0.0
+        assert isinstance(short, DomainError) and short.stage == "track"
 
 
 class TestSweep:
@@ -333,6 +347,13 @@ class TestSweep:
                 harness.SweepSpec(parameter="window_length", values=(4096, value), trials=1)
         with pytest.raises(ConfigError, match="finite"):
             harness.SweepSpec(parameter="distance", values=(float("inf"),), trials=1)
+        with pytest.raises(ConfigError, match="payload"):
+            harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=2,
+                              payload=bytes(codec.MAX_PAYLOAD + 1))
+        with pytest.raises(ConfigError, match="finite numbers"):
+            harness.SweepSpec(parameter="noise_sigma", values=("x",), trials=1)
+        with pytest.raises(ConfigError, match="trials"):
+            harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1.5)
 
     def test_noiseless_sweep_all_zero_ber(self, fast_link):
         config, alphabet = fast_link

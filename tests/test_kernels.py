@@ -1,8 +1,14 @@
 """The per-sample kernels: their physics, and block-by-block equals one pass."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lightleak
 from lightleak._kernels import level_fill, lowpass, pwm_wave, square_wave
 
 N = 500_000
@@ -82,3 +88,15 @@ class TestNumpyKernels:
         assert pwm_wave(np.zeros(0), 0.002, 0, 0.0)[0].size == 0
         assert lowpass(np.zeros(0), 0.5, 0.0).size == 0
         assert square_wave(np.zeros(0), FS, 0.0)[0].size == 0
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """``import lightleak`` does not pay for scipy.signal; `lowpass` loads it."""
+    src = str(Path(lightleak.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, numpy, lightleak; assert 'scipy.signal' not in sys.modules; "
+            "from lightleak import _kernels; _kernels.lowpass(numpy.ones(3), 0.5, 0.0); "
+            "assert 'scipy.signal' in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
