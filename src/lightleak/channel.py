@@ -166,7 +166,11 @@ def simulate_link(schedule: CommandSchedule, config: ChannelConfig,
                   duration: float) -> SensorTrace:
     """Full transmitter-to-sensor chain for a command schedule, as one trace."""
     blocks = link_blocks(schedule, [config], duration)
-    values = np.empty(bulb.sample_count(config, duration), dtype=np.uint8)
+    n = bulb.sample_count(config, duration)
+    try:
+        values = np.empty(n, dtype=np.uint8)
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot address
+        raise ConfigError(f"a trace of {n} samples does not fit in memory") from None
     start = 0
     for block, in blocks:
         values[start:start + block.size] = block

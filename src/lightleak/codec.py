@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bulb import BrightnessCommand, CommandSchedule
 from .config import SymbolAlphabet
-from .dsp import FrequencyTrack
+from .dsp import TRACKERS, FrequencyTrack
 from .errors import CalibrationError, DomainError, FramingError, SyncError, TruncationError
 
 #: alternating sync/calibration pattern prefixed to every frame
@@ -36,8 +36,8 @@ _EARLY_SYMBOLS = 40.0
 _MIN_PLATEAU_FRACTION = 0.15
 #: delimiter acceptance band, as a fraction of the one/zero separation
 _BAND_FRACTION = 0.25
-#: default confidence floor below which a slot is marked as an erasure
-DEFAULT_CONFIDENCE_FLOOR = 2.0
+#: default confidence floor below which a slot is marked as an erasure (stft's)
+DEFAULT_CONFIDENCE_FLOOR = TRACKERS["stft"][1]
 
 MAX_PAYLOAD = 255
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -45,8 +46,9 @@ class ChannelConfig:
             if field.type == "float" and not math.isfinite(getattr(self, field.name)):
                 raise ConfigError(
                     f"{field.name} must be a finite number, got {getattr(self, field.name)}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, numbers.Integral)
+                or self.rng_seed < 0):
+            raise ConfigError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         for name in ("pwm_frequency", "sample_rate", "sensor_full_scale_frequency",
                      "max_command_rate"):
             if getattr(self, name) <= 0:

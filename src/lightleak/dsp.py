@@ -5,9 +5,11 @@ frames, removes each frame's mean (the square wave carries a large DC
 component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
-cross-check.  Both are pushed one block of samples at a time and track each
-batch of frames as soon as it is complete, so a long capture never has to be
-held whole, and one stream can feed several receivers in lockstep.  A stream
+cross-check.  Each tracker is one batch function, listed in `TRACKERS` with
+its confidence floor.  One framer takes a stream one block of samples at a
+time and runs a tracker (or, in `stft`, the spectrogram fill) on each batch
+of frames as soon as it is complete, so a long capture never has to be held
+whole, and one stream can feed several receivers in lockstep.  A stream
 yields one block per tail at each step, as `channel.link_blocks` does (a
 trace or an array is one tail); a receiver is a ``(tail, window_length,
 hop)`` triple.
@@ -15,6 +17,7 @@ hop)`` triple.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -93,19 +96,21 @@ class _Framer:
     Frame ``f`` is ``x[f*hop : f*hop + window_length]``.  Batch ``k`` holds
     exactly the samples of frames ``k*_STFT_BLOCK`` up to
     ``(k+1)*_STFT_BLOCK`` (fewer in the last one), whatever the block sizes,
-    so its own frames are those frames.  `push` hands each batch to
-    ``_batch`` as soon as its last sample arrives and keeps only the samples
-    that later frames still need, so memory does not grow with the stream.
-    `close` hands over the last, shorter batch; it raises `DomainError` if
-    the stream ended before one full window.
+    so its own frames are those frames.  `push` runs ``fn`` on each batch
+    as soon as its last sample arrives and keeps only the samples that later
+    frames still need, so memory does not grow with the stream.  `close`
+    runs it on the last, shorter batch and returns what it gave for every
+    batch, in order; it raises `DomainError` if the stream ended before one
+    full window.
     """
 
-    def __init__(self, window_length: int, hop: int):
+    def __init__(self, window_length: int, hop: int, fn):
         check_framing(window_length, hop)
-        self.window_length, self.hop = window_length, hop
+        self.window_length, self.hop, self._fn = window_length, hop, fn
         self._span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
         self._step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
+        self._results = []
 
     def push(self, block: np.ndarray) -> None:
         self._seen += block.size
@@ -118,22 +123,20 @@ class _Framer:
         buf = np.concatenate(self._pending)
         first = 0
         while first + self._span <= buf.size:
-            self._batch(buf[first:first + self._span])
+            self._results.append(self._fn(buf[first:first + self._span]))
             first += self._step
         self._skip = max(0, first - buf.size)
         # copy the leftover (under one batch span) so the joined buffer is freed
         self._pending = [buf[first:].copy()]
         self._held = self._pending[0].size
 
-    def close(self) -> None:
+    def close(self) -> list:
         if self._seen < self.window_length:
             raise DomainError(f"input has {self._seen} samples, "
                               f"need at least one window ({self.window_length})")
         if self._held >= self.window_length:
-            self._batch(np.concatenate(self._pending))
-
-    def _batch(self, segment: np.ndarray) -> None:
-        raise NotImplementedError
+            self._results.append(self._fn(np.concatenate(self._pending)))
+        return self._results
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
@@ -151,22 +154,6 @@ def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
     return np.abs(spectra)
 
 
-class _SpectraFill(_Framer):
-    """Writes each batch's spectra into one preallocated spectrogram."""
-
-    def __init__(self, window_length: int, hop: int, n_samples: int):
-        super().__init__(window_length, hop)
-        self._window = hann_window(window_length)
-        self.mags = np.empty((max(0, (n_samples - window_length) // hop + 1),
-                              window_length // 2 + 1))
-        self._filled = 0
-
-    def _batch(self, segment):
-        batch = _spectra(segment, self._window, self.hop)
-        self.mags[self._filled:self._filled + batch.shape[0]] = batch
-        self._filled += batch.shape[0]
-
-
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
     """Short-time Fourier transform with per-frame mean removal and Hann window.
 
@@ -180,12 +167,23 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         raise DomainError("stft needs a SensorTrace or an array; track a block stream "
                           "with stft_track")
     steps, fs = _as_stream(samples, sample_rate)
-    spectra = _SpectraFill(window_length, hop, len(samples))
+    filled = 0
+
+    def fill(segment):
+        nonlocal filled
+        batch = _spectra(segment, window, hop)
+        mags[filled:filled + batch.shape[0]] = batch
+        filled += batch.shape[0]
+
+    framer = _Framer(window_length, hop, fill)
+    window = hann_window(window_length)
+    mags = np.empty((max(0, (len(samples) - window_length) // hop + 1),
+                     window_length // 2 + 1))
     for block, in steps:
-        spectra.push(block)
-    spectra.close()
-    times = _frame_times(spectra.mags.shape[0], window_length, hop, fs)
-    return Spectrogram(window_length, hop, fs, spectra.mags, times)
+        framer.push(block)
+    framer.close()
+    times = _frame_times(mags.shape[0], window_length, hop, fs)
+    return Spectrogram(window_length, hop, fs, mags, times)
 
 
 def _peaks(mags: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,68 +222,33 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-class _Tracker(_Framer):
-    """A frequency tracker fed one block at a time; `finish` gives its track.
-
-    Subclasses turn one batch of frames into frequencies and confidences.
-    """
-
-    def __init__(self, window_length: int, hop: int, sample_rate: float):
-        super().__init__(window_length, hop)
-        self.sample_rate = sample_rate
-        self._freqs, self._confs = [], []
-
-    def _batch(self, segment):
-        freqs, confs = self._rates(segment)
-        self._freqs.append(freqs)
-        self._confs.append(confs)
-
-    def _rates(self, segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def finish(self) -> FrequencyTrack:
-        """Track the last batch and return the whole track."""
-        self.close()
-        freqs, confs = np.concatenate(self._freqs), np.concatenate(self._confs)
-        times = _frame_times(freqs.size, self.window_length, self.hop, self.sample_rate)
-        return FrequencyTrack(times, freqs, confs)
+def _track_stft(segment: np.ndarray, window_length: int, hop: int,
+                sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """``dominant_frequency(stft(...))`` of one batch of frames, from its spectra alone."""
+    return _peaks(_spectra(segment, hann_window(window_length), hop),
+                  sample_rate / window_length)
 
 
-class StftTracker(_Tracker):
-    """``dominant_frequency(stft(...))``, one batch of STFT frames at a time.
-
-    Holds the spectra of one batch of frames at a time rather than the whole
-    spectrogram.
-    """
-
-    def __init__(self, window_length: int, hop: int, sample_rate: float):
-        super().__init__(window_length, hop, sample_rate)
-        self._window = hann_window(window_length)
-
-    def _rates(self, segment):
-        return _peaks(_spectra(segment, self._window, self.hop),
-                      self.sample_rate / self.window_length)
-
-
-class ZeroCrossingTracker(_Tracker):
-    """Time-domain frequency tracker: rising-edge counting per window.
+def _track_zero_crossing(segment: np.ndarray, window_length: int, hop: int,
+                         sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Time-domain frequency of one batch of frames: rising-edge counting.
 
     Frequency is the number of rising edges divided by the window duration
     (edges cross the window's min/max midpoint).  Confidence is
     ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
     two edges report frequency 0 and confidence 0.
     """
-
-    def _rates(self, segment):
-        duration = self.window_length / self.sample_rate
-        windows = sliding_window_view(segment.astype(np.float64), self.window_length)
-        rates = np.array([_edge_rate(w, duration) for w in windows[::self.hop]],
-                         dtype=np.float64)
-        return rates[:, 0], rates[:, 1]
+    duration = window_length / sample_rate
+    windows = sliding_window_view(segment.astype(np.float64), window_length)
+    rates = np.array([_edge_rate(w, duration) for w in windows[::hop]],
+                     dtype=np.float64)
+    return rates[:, 0], rates[:, 1]
 
 
-#: tracker name -> tracker class
-TRACKERS = {"stft": StftTracker, "zero_crossing": ZeroCrossingTracker}
+#: tracker name -> (batch function, confidence floor below which a slot is erased);
+#: the function maps one batch and the receiver's window length, hop and sample
+#: rate to its frames' frequencies and confidences (zero-crossing's lie in [0, 1])
+TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 
 def track_all(samples, receivers: list, tracker: str = "stft",
@@ -294,27 +257,34 @@ def track_all(samples, receivers: list, tracker: str = "stft",
 
     ``samples`` is a SensorTrace, a plain array or an iterator of steps (the
     last two with ``sample_rate``); ``receivers`` lists ``(tail,
-    window_length, hop)`` triples, each run by a ``TRACKERS[tracker]`` on the
-    blocks of its tail.  Every step goes to every receiver before the next
-    step is drawn, so the stream is produced once and each receiver keeps at
-    most one batch of its frames.  Returns, per receiver and in receiver
-    order, its `FrequencyTrack` or the `DomainError` it ended with (a stream
+    window_length, hop)`` triples, each a `_Framer` on the blocks of its tail
+    that runs the ``TRACKERS[tracker]`` batch function on each batch of its
+    frames.  Every step goes to every receiver before the next step is
+    drawn, so the stream is produced once and each receiver keeps at most
+    one batch of its frames.  Returns, per receiver and in receiver order,
+    its `FrequencyTrack` or the `DomainError` it ended with (a stream
     shorter than its window).
     """
     steps, fs = _as_stream(samples, sample_rate)
-    trackers = [(tail, TRACKERS[tracker](window_length, hop, fs))
-                for tail, window_length, hop in receivers]
+    fn, _ = TRACKERS[tracker]
+    framers = [(tail, _Framer(window_length, hop, functools.partial(
+                    fn, window_length=window_length, hop=hop, sample_rate=fs)))
+               for tail, window_length, hop in receivers]
     for step in steps:
-        for tail, each in trackers:
-            each.push(step[tail])
-    return [_finish(each) for _, each in trackers]
+        for tail, framer in framers:
+            framer.push(step[tail])
+    return [_finish(framer, fs) for _, framer in framers]
 
 
-def _finish(tracker: _Tracker) -> FrequencyTrack | DomainError:
+def _finish(framer: _Framer, sample_rate: float) -> FrequencyTrack | DomainError:
+    """The track of a receiver's framer, or the error its stream ended with."""
     try:
-        return tracker.finish()
+        batches = framer.close()
     except DomainError as exc:
         return exc
+    freqs, confs = (np.concatenate(column) for column in zip(*batches))
+    times = _frame_times(freqs.size, framer.window_length, framer.hop, sample_rate)
+    return FrequencyTrack(times, freqs, confs)
 
 
 def _track_one(samples, window_length, hop, tracker, sample_rate) -> FrequencyTrack:
@@ -326,7 +296,8 @@ def _track_one(samples, window_length, hop, tracker, sample_rate) -> FrequencyTr
 
 def stft_track(samples, window_length: int, hop: int,
                sample_rate: float | None = None) -> FrequencyTrack:
-    """`StftTracker` over a SensorTrace, a plain array or tail 0 of a stream.
+    """The ``"stft"`` tracker over a SensorTrace, a plain array or tail 0 of
+    a stream, one batch of frames at a time.
 
     Gives the same track as ``dominant_frequency(stft(...))``; the last two
     input kinds need ``sample_rate``.
@@ -336,7 +307,8 @@ def stft_track(samples, window_length: int, hop: int,
 
 def zero_crossing_frequency(samples, window_length: int, hop: int,
                             sample_rate: float | None = None) -> FrequencyTrack:
-    """`ZeroCrossingTracker` over the same inputs as `stft_track`."""
+    """The ``"zero_crossing"`` tracker (rising-edge counting, see
+    `_track_zero_crossing`) over the same inputs as `stft_track`."""
     return _track_one(samples, window_length, hop, "zero_crossing", sample_rate)
 
 

@@ -80,7 +80,11 @@ def import_trace(path):
         if stat.S_ISREG(st.st_mode) and st.st_size < _HEADER.size + count * dtype.itemsize:
             raise TraceFormatError(
                 f"truncated payload: header promises {count} samples", st.st_size)
-        values = np.empty(count, dtype=dtype)
+        try:
+            values = np.empty(count, dtype=dtype)
+        except (MemoryError, ValueError):  # numpy refuses a size it cannot address
+            raise TraceFormatError(f"header promises {count} samples, more than fit in "
+                                   "memory", 28) from None
         got = fh.readinto(values.view(np.uint8))
         if got < values.nbytes:  # a pipe, or a file that shrank after the check
             raise TraceFormatError(

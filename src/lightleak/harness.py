@@ -34,8 +34,6 @@ from .config import ChannelConfig, SymbolAlphabet
 from .errors import CalibrationError, ConfigError, DomainError, LightLeakError
 
 DEFAULT_WINDOW_LENGTH = 4096
-#: confidence floor per tracker; zero-crossing confidences live in [0, 1]
-CONFIDENCE_FLOORS = {"stft": codec.DEFAULT_CONFIDENCE_FLOOR, "zero_crossing": 0.5}
 #: quiet delimiter time prepended/appended, in symbol periods
 LEAD_IN_SYMBOLS = 2
 TAIL_SYMBOLS = 2
@@ -78,8 +76,9 @@ class SweepSpec:
             raise ConfigError("sweep needs a non-empty value list")
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if len(self.payload) > codec.MAX_PAYLOAD:
             raise ConfigError(f"payload must be <= {codec.MAX_PAYLOAD} bytes, "
                               f"got {len(self.payload)}")
@@ -139,7 +138,7 @@ def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
     Runs before anything is rendered or read, so a bad window length or hop
     is a `ConfigError` rather than a failure at the track stage.
     """
-    if tracker not in CONFIDENCE_FLOORS:
+    if tracker not in dsp.TRACKERS:
         raise ConfigError(f"unknown tracker {tracker!r}")
     hop = window_length // 2 if hop is None else hop
     try:
@@ -207,8 +206,9 @@ def _decode(track, alphabet: SymbolAlphabet, tracker: str,
     with _stage("calibrate"):
         calibration = codec.calibrate(track, alphabet)
     with _stage("classify"):
+        _, floor = dsp.TRACKERS[tracker]
         bits, slots = codec.classify_symbols(track, calibration, alphabet,
-                                             confidence_floor=CONFIDENCE_FLOORS[tracker])
+                                             confidence_floor=floor)
     with _stage("decode"):
         report = codec.decode_frame(bits, reference=reference,
                                     confidences=[s.confidence for s in slots])
@@ -281,9 +281,11 @@ def _apply_parameter(spec: SweepSpec, value):
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Run the sweep; per-point trials use seeds ``seed + trial_index``.
 
-    Each value's receiver and symbol timing are checked once, before
-    anything is rendered; a value that fails them counts every trial as a
-    decode error.  The values are grouped by the transmit half they leave,
+    The tracker, and the window unless it is the swept parameter, are
+    checked first; a bad one raises `ConfigError`.  Each value's receiver
+    and symbol timing are checked once, before anything is rendered; a value
+    that fails them counts every trial as a decode error.  The values are
+    grouped by the transmit half they leave,
     ``(channel.source_key(config), alphabet)``, and each group renders that
     half once per trial (`channel.link_blocks`): each distinct config in the
     group becomes one tail of the render, and each value one ``(tail,
@@ -295,6 +297,8 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     error rate is 1.  Failed outcomes are kept without their traceback.
     Rows come back ordered by parameter value.
     """
+    window = DEFAULT_WINDOW_LENGTH if spec.parameter == "window_length" else spec.window_length
+    check_receiver(window, None, spec.tracker)
     values = sorted(spec.values)
     outcomes = [[] for _ in values]
     # (source key, alphabet) -> ({config: tail}, [value index], [(tail, window, hop)])

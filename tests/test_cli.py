@@ -300,6 +300,9 @@ def _no_render(*args, **kwargs):
      "config error: --duration"),
     (["render", "--schedule", "{sched}", "--duration", "inf", "--out", "{tmp}/t.bin"],
      "config error: --duration"),
+    # 10**16 samples (8.88 PiB): numpy refuses the trace without allocating it
+    (["render", "--schedule", "{sched}", "--duration", "1e9", "--out", "{tmp}/t.bin"],
+     "config error: a trace of 10000000000000000 samples"),
 ])
 def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
                                              capsys, monkeypatch):

@@ -40,6 +40,8 @@ class TestChannelConfig:
         dict(fade_duration=-0.1),
         dict(max_command_rate=0.0),
         dict(rng_seed=-1),
+        dict(rng_seed=1.5),
+        dict(rng_seed=True),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):

@@ -263,16 +263,11 @@ class TestBlockEdges:
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
-        frames = []
-
-        class Collect(dsp._Framer):
-            def _batch(self, segment):
-                frames.append(sliding_window_view(segment, window)[::hop])
-
-        framer = Collect(window, hop)
+        framer = dsp._Framer(window, hop,
+                             lambda segment: sliding_window_view(segment, window)[::hop])
         for block in traces.blocks(x):
             framer.push(block)
-        framer.close()
+        frames = framer.close()
         assert [f.shape[0] for f in frames[:-1]] == [3] * (len(frames) - 1)
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
 

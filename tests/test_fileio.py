@@ -135,17 +135,26 @@ def test_trace_files_hold_the_samples_once(tmp_path):
     assert np.array_equal(back.values, trace.values)
 
 
-@pytest.mark.parametrize("cut", [0, 1])
-def test_trace_from_a_pipe(tmp_path, cut):
+# cut: bytes held back from the end; count: samples the header promises.  A pipe
+# has no size to check, so a header promising 10**16 samples (8.88 PiB) and
+# sent alone must fail at the count field, not in the allocation.
+@pytest.mark.parametrize("cut, count", [(0, 4), (1, 4), (4, 10 ** 16)],
+                         ids=["0", "1", "huge_count"])
+def test_trace_from_a_pipe(tmp_path, cut, count):
     trace = SensorTrace(1000.0, np.array([0, 1, 1, 0], np.uint8))
     fileio.export_trace(trace, tmp_path / "trace.bin")
     data = (tmp_path / "trace.bin").read_bytes()
+    data = data[:28] + struct.pack("<Q", count) + data[36:]
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data[:len(data) - cut],))
     writer.start()
     try:
-        if cut:
+        if count > trace.values.size:
+            with pytest.raises(TraceFormatError, match=str(count)) as exc_info:
+                fileio.import_trace(fifo)
+            assert exc_info.value.byte_offset == 28
+        elif cut:
             with pytest.raises(TraceFormatError) as exc_info:
                 fileio.import_trace(fifo)
             assert exc_info.value.byte_offset == len(data) - cut

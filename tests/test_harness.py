@@ -354,6 +354,20 @@ class TestSweep:
             harness.SweepSpec(parameter="noise_sigma", values=("x",), trials=1)
         with pytest.raises(ConfigError, match="trials"):
             harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1.5)
+        for seed in (1.5, True):
+            with pytest.raises(ConfigError, match="seed"):
+                harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1, seed=seed)
+        # a bad receiver fails the sweep before it renders, not as a decode error
+        # at every point
+        for parameter in ("noise_sigma", "window_length"):
+            spec = harness.SweepSpec(parameter=parameter, values=(4096,), trials=1,
+                                     tracker="wavelet")
+            with pytest.raises(ConfigError, match="tracker"):
+                harness.sweep(spec)
+        spec = harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1,
+                                 window_length=1000)
+        with pytest.raises(ConfigError, match="window_length"):
+            harness.sweep(spec)
 
     def test_noiseless_sweep_all_zero_ber(self, fast_link):
         config, alphabet = fast_link
