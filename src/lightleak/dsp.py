@@ -13,11 +13,20 @@ whole, and one stream can feed several receivers in lockstep.  A stream
 yields one block per tail at each step, as `channel.link_blocks` does (a
 trace or an array is one tail); a receiver is a ``(tail, window_length,
 hop)`` triple.
+
+The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
+numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
+the sweeps and trace files, float64 for float input.  Against float64 on the
+criterion-5, -6 and -7 links (11 778 frames), float32 moved no peak bin, a
+refined frequency by at most 2.4e-6 of a bin (0.0062 Hz), a confidence by at
+most 3.3e-7 relative and a magnitude by at most 2.5e-7 of its frame's
+largest.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -83,7 +92,13 @@ def _as_stream(samples, sample_rate) -> tuple[Iterable[tuple[np.ndarray, ...]], 
 
 
 def check_framing(window_length: int, hop: int) -> None:
-    """Reject a window length that is not a power of two >= 2, or a hop below 1."""
+    """Reject a window length that is not a power of two >= 2, or a hop below 1.
+
+    Both must be integers; a float or a bool is rejected, not rounded.
+    """
+    for name, value in (("window_length", window_length), ("hop", hop)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if window_length < 2 or window_length & (window_length - 1):
         raise DomainError(f"window_length must be a power of two >= 2, got {window_length}")
     if hop < 1:
@@ -144,12 +159,26 @@ def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.n
     return (np.arange(n_frames) * hop + window_length / 2.0) / fs
 
 
+def _work_dtype(dtype) -> np.dtype:
+    """The dtype the spectra of samples of ``dtype`` are computed in."""
+    return np.result_type(dtype, np.float32)
+
+
 def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
-    """Magnitude spectra of a segment's frames, each mean-removed and windowed."""
-    block = sliding_window_view(segment, window.size)[::hop].astype(np.float64)
+    """Magnitude spectra of a segment's frames, each mean-removed and windowed,
+    in the segment's work dtype."""
+    # imported here: scipy.fft takes longer to import than the rest of the package
+    from scipy.fft import rfft
+
+    dtype = _work_dtype(segment.dtype)
+    block = sliding_window_view(segment, window.size)[::hop].astype(dtype)
     block -= block.mean(axis=1, keepdims=True)
-    block *= window
-    spectra = np.fft.rfft(block, axis=1)
+    # a receiver builds its window once, in float64, before any block shows its
+    # stream's dtype; casting one window costs nothing next to a batch of frames
+    block *= window.astype(dtype, copy=False)
+    # scipy's float32 rfft is twice as fast as its float64 one; numpy's float32 one
+    # is slower than both
+    spectra = rfft(block, axis=1)
     del block  # the frames go before the magnitudes are made: a smaller peak
     return np.abs(spectra)
 
@@ -161,7 +190,10 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     required); the whole spectrogram is kept, so a block stream buys nothing
     here and is tracked with `stft_track` instead.  Produces
     ``floor((N - window)/hop) + 1`` frames of ``window/2 + 1`` magnitude
-    bins.  Frame times mark window centres.
+    bins.  Frame times mark window centres.  The frames are float32 for
+    integer or float32 samples (a sensor trace) and float64 for float64
+    ones.  On the criterion-5, -6 and -7 links, float32 magnitudes lie
+    within 2.5e-7 of their frame's largest magnitude of the float64 ones.
     """
     if isinstance(samples, Iterator):
         raise DomainError("stft needs a SensorTrace or an array; track a block stream "
@@ -177,8 +209,9 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
 
     framer = _Framer(window_length, hop, fill)
     window = hann_window(window_length)
-    mags = np.empty((max(0, (len(samples) - window_length) // hop + 1),
-                     window_length // 2 + 1))
+    values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
+    mags = np.empty((max(0, (values.size - window_length) // hop + 1),
+                     window_length // 2 + 1), dtype=_work_dtype(values.dtype))
     for block, in steps:
         framer.push(block)
     framer.close()
@@ -222,32 +255,33 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def _track_stft(segment: np.ndarray, window_length: int, hop: int,
+def _track_stft(segment: np.ndarray, window: np.ndarray, hop: int,
                 sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """``dominant_frequency(stft(...))`` of one batch of frames, from its spectra alone."""
-    return _peaks(_spectra(segment, hann_window(window_length), hop),
-                  sample_rate / window_length)
+    return _peaks(_spectra(segment, window, hop), sample_rate / window.size)
 
 
-def _track_zero_crossing(segment: np.ndarray, window_length: int, hop: int,
+def _track_zero_crossing(segment: np.ndarray, window: np.ndarray, hop: int,
                          sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Time-domain frequency of one batch of frames: rising-edge counting.
 
-    Frequency is the number of rising edges divided by the window duration
-    (edges cross the window's min/max midpoint).  Confidence is
+    Only the window's length counts: the frames are not weighted.  Frequency
+    is the number of rising edges divided by the window duration (edges
+    cross the window's min/max midpoint).  Confidence is
     ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
     two edges report frequency 0 and confidence 0.
     """
-    duration = window_length / sample_rate
-    windows = sliding_window_view(segment.astype(np.float64), window_length)
+    duration = window.size / sample_rate
+    windows = sliding_window_view(segment.astype(np.float64), window.size)
     rates = np.array([_edge_rate(w, duration) for w in windows[::hop]],
                      dtype=np.float64)
     return rates[:, 0], rates[:, 1]
 
 
 #: tracker name -> (batch function, confidence floor below which a slot is erased);
-#: the function maps one batch and the receiver's window length, hop and sample
-#: rate to its frames' frequencies and confidences (zero-crossing's lie in [0, 1])
+#: the function maps one batch and the receiver's Hann window (built once per
+#: receiver), hop and sample rate to its frames' frequencies and confidences
+#: (zero-crossing's lie in [0, 1])
 TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 
@@ -267,9 +301,11 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     """
     steps, fs = _as_stream(samples, sample_rate)
     fn, _ = TRACKERS[tracker]
-    framers = [(tail, _Framer(window_length, hop, functools.partial(
-                    fn, window_length=window_length, hop=hop, sample_rate=fs)))
-               for tail, window_length, hop in receivers]
+    framers = []
+    for tail, window_length, hop in receivers:
+        check_framing(window_length, hop)  # before the window is built from it
+        framers.append((tail, _Framer(window_length, hop, functools.partial(
+            fn, window=hann_window(window_length), hop=hop, sample_rate=fs))))
     for step in steps:
         for tail, framer in framers:
             framer.push(step[tail])

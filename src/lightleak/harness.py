@@ -140,7 +140,8 @@ def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
     """
     if tracker not in dsp.TRACKERS:
         raise ConfigError(f"unknown tracker {tracker!r}")
-    hop = window_length // 2 if hop is None else hop
+    if hop is None and isinstance(window_length, numbers.Integral):
+        hop = window_length // 2  # else `check_framing` refuses the window first
     try:
         dsp.check_framing(window_length, hop)
     except DomainError as exc:

@@ -70,10 +70,54 @@ class TestStft:
     def test_non_power_of_two_window(self):
         with pytest.raises(DomainError):
             stft(np.zeros(10_000), 3000, 1500, sample_rate=FS)
+        # a float or bool window or hop is refused, not rounded or sliced with
+        for window, hop in ((4096.0, 2048), (4096, 2048.5), (4096, True), (True, 1)):
+            with pytest.raises(DomainError, match="window_length|hop"):
+                stft(np.zeros(10_000), window, hop, sample_rate=FS)
+            with pytest.raises(DomainError, match="window_length|hop"):
+                dsp.stft_track(np.zeros(10_000), window, hop, sample_rate=FS)
 
     def test_sample_rate_required_for_arrays(self):
         with pytest.raises(DomainError):
             stft(np.zeros(10_000), 2048, 1024)
+
+
+class TestPrecision:
+    """The spectra follow the input's dtype: float32 for a uint8 sensor trace,
+    float64 for float input, within stated tolerances of each other."""
+
+    CONFIG = ChannelConfig(noise_sigma=0.02, rng_seed=7, fade_duration=0.002,
+                           sensor_time_constant=0.0005)
+    SCHEDULE = CommandSchedule.from_pairs([(0.005, 135), (0.02, 140), (0.035, 137)], 137)
+
+    @pytest.fixture(scope="class")
+    def sensor(self):
+        return simulate_link(self.SCHEDULE, self.CONFIG, 0.05)
+
+    def test_uint8_trace_tracks_as_its_float64_copy(self, sensor):
+        assert sensor.values.dtype == np.uint8
+        reference = sensor.values.astype(np.float64)
+        fs = sensor.sample_rate
+        spec = stft(sensor, 4096, 2048)
+        assert spec.frames.dtype == np.float32
+        wide = stft(reference, 4096, 2048, sample_rate=fs)
+        assert wide.frames.dtype == np.float64
+        assert np.array_equal(np.argmax(spec.frames, axis=1), np.argmax(wide.frames, axis=1))
+
+        narrow = dsp.stft_track(sensor, 4096, 2048)
+        want = dsp.stft_track(reference, 4096, 2048, fs)
+        assert np.array_equal(narrow.frame_times, want.frame_times)
+        assert np.all(np.abs(narrow.frequencies - want.frequencies) <= 1e-4 * spec.bin_width)
+        assert np.allclose(narrow.confidences, want.confidences, rtol=1e-6, atol=0.0)
+
+    def test_float64_spectra_are_the_numpy_formula(self):
+        rng = np.random.default_rng(3)
+        x = synth_square(312_500.0, FS, 300_000) + 0.01 * rng.standard_normal(300_000)
+        spec = stft(x, 1024, 512, sample_rate=FS)
+        assert spec.n_frames > dsp._STFT_BLOCK
+        frames = sliding_window_view(x, 1024)[::512].astype(np.float64)
+        frames = (frames - frames.mean(axis=1, keepdims=True)) * hann_window(1024)
+        assert np.array_equal(spec.frames, np.abs(np.fft.rfft(frames, axis=1)))
 
 
 class TestDominantFrequency:

@@ -364,10 +364,11 @@ class TestSweep:
                                      tracker="wavelet")
             with pytest.raises(ConfigError, match="tracker"):
                 harness.sweep(spec)
-        spec = harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1,
-                                 window_length=1000)
-        with pytest.raises(ConfigError, match="window_length"):
-            harness.sweep(spec)
+        for window in (1000, 4096.0, True):
+            spec = harness.SweepSpec(parameter="noise_sigma", values=(0.1,), trials=1,
+                                     window_length=window)
+            with pytest.raises(ConfigError, match="window_length"):
+                harness.sweep(spec)
 
     def test_noiseless_sweep_all_zero_ber(self, fast_link):
         config, alphabet = fast_link
@@ -431,8 +432,15 @@ class TestSweep:
 
     def test_bad_hop_is_config_error(self, fast_link):
         config, alphabet = fast_link
-        with pytest.raises(ConfigError, match="hop"):
-            ll.run_end_to_end(config, alphabet, b"\x41", hop=0)
+        for hop in (0, 2048.5, True):
+            with pytest.raises(ConfigError, match="hop"):
+                ll.run_end_to_end(config, alphabet, b"\x41", hop=hop)
+        # a window that is not an integer is refused too, not a TypeError
+        for window in (4096.0, "4096", None):
+            with pytest.raises(ConfigError, match="window_length"):
+                harness.check_receiver(window, None, "stft")
+        with pytest.raises(ConfigError, match="window_length"):
+            ll.run_end_to_end(config, alphabet, b"\x41", window_length=4096.0)
 
     def test_table_format(self, fast_link):
         config, alphabet = fast_link

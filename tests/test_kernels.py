@@ -91,10 +91,14 @@ class TestNumpyKernels:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    """``import lightleak`` does not pay for scipy.signal; `lowpass` loads it."""
+    """``import lightleak`` does not pay for scipy.signal or scipy.fft; the
+    first STFT loads scipy.fft and `lowpass` loads scipy.signal."""
     src = str(Path(lightleak.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, numpy, lightleak; assert 'scipy.signal' not in sys.modules; "
+    code = ("import sys, numpy, lightleak; "
+            "assert 'scipy.signal' not in sys.modules and 'scipy.fft' not in sys.modules; "
+            "lightleak.stft(numpy.ones(8), 4, 2, sample_rate=1.0); "
+            "assert 'scipy.fft' in sys.modules and 'scipy.signal' not in sys.modules; "
             "from lightleak import _kernels; _kernels.lowpass(numpy.ones(3), 0.5, 0.0); "
             "assert 'scipy.signal' in sys.modules")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
