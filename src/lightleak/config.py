@@ -157,7 +157,12 @@ def parse_config_text(text: str) -> dict:
 def read_config_file(path) -> dict:
     """Read a flat key/value config file.  See `parse_config_text`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def build_from_values(values: dict) -> tuple[ChannelConfig, SymbolAlphabet, dict]:

@@ -6,13 +6,14 @@ component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
 cross-check.  Each tracker is one batch function, listed in `TRACKERS` with
-its confidence floor.  One framer takes a stream one block of samples at a
-time and runs a tracker (or, in `stft`, the spectrogram fill) on each batch
-of frames as soon as it is complete, so a long capture never has to be held
-whole, and one stream can feed several receivers in lockstep.  A stream
-yields one block per tail at each step, as `channel.link_blocks` does (a
-trace or an array is one tail); a receiver is a ``(tail, window_length,
-hop)`` triple.
+its confidence floor, from a batch's frames and the receiver's Hann window
+(built at the first batch) to their frequencies and confidences.  One framer
+cuts a stream, pushed one block at a time, into batches of frames and runs a
+tracker (or, in `stft`, the spectrogram fill) on each as soon as it is
+complete, so a long capture never has to be held whole, and one stream can
+feed several receivers in lockstep.  A stream yields one block per tail at
+each step, as `channel.link_blocks` does (a trace or an array is one tail);
+a receiver is a ``(tail, window_length, hop)`` triple.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import traces
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .traces import SensorTrace
 
 #: frames per STFT batch; batches always start at a multiple of this frame
@@ -108,20 +109,21 @@ def check_framing(window_length: int, hop: int) -> None:
 class _Framer:
     """Cuts a pushed stream of sample blocks into batches of frames.
 
-    Frame ``f`` is ``x[f*hop : f*hop + window_length]``.  Batch ``k`` holds
-    exactly the samples of frames ``k*_STFT_BLOCK`` up to
-    ``(k+1)*_STFT_BLOCK`` (fewer in the last one), whatever the block sizes,
-    so its own frames are those frames.  `push` runs ``fn`` on each batch
-    as soon as its last sample arrives and keeps only the samples that later
-    frames still need, so memory does not grow with the stream.  `close`
-    runs it on the last, shorter batch and returns what it gave for every
-    batch, in order; it raises `DomainError` if the stream ended before one
-    full window.
+    Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
+    frames ``k*_STFT_BLOCK`` up to ``(k+1)*_STFT_BLOCK`` (fewer in the last
+    one), whatever the block sizes.  `push` calls ``fn(frames, window)`` on
+    each batch as soon as its last sample arrives, with the receiver's Hann
+    window (built then, at the first batch), and keeps only the samples that
+    later frames still need, so memory does not grow with the stream.
+    `close` runs ``fn`` on the last, shorter batch and returns what it gave
+    for every batch, in order; it raises `DomainError`, and builds no
+    window, if the stream ended before one full window.
     """
 
     def __init__(self, window_length: int, hop: int, fn):
         check_framing(window_length, hop)
         self.window_length, self.hop, self._fn = window_length, hop, fn
+        self._window = None
         self._span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
         self._step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
@@ -138,7 +140,7 @@ class _Framer:
         buf = np.concatenate(self._pending)
         first = 0
         while first + self._span <= buf.size:
-            self._results.append(self._fn(buf[first:first + self._span]))
+            self._run(buf[first:first + self._span])
             first += self._step
         self._skip = max(0, first - buf.size)
         # copy the leftover (under one batch span) so the joined buffer is freed
@@ -150,13 +152,21 @@ class _Framer:
             raise DomainError(f"input has {self._seen} samples, "
                               f"need at least one window ({self.window_length})")
         if self._held >= self.window_length:
-            self._results.append(self._fn(np.concatenate(self._pending)))
-        return self._results
+            self._run(np.concatenate(self._pending))
+        results, self._results = self._results, []  # the caller's alone, to free as it goes
+        return results
+
+    def _run(self, segment: np.ndarray) -> None:
+        if self._window is None:
+            self._window = hann_window(self.window_length)
+        frames = sliding_window_view(segment, self.window_length)[::self.hop]
+        self._results.append(self._fn(frames, self._window))
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
     """Window centres of the first ``n_frames`` frames, in seconds."""
-    return (np.arange(n_frames) * hop + window_length / 2.0) / fs
+    # float64 from the start: a hop past int64 cannot overflow an integer product
+    return (np.arange(n_frames, dtype=np.float64) * hop + window_length / 2.0) / fs
 
 
 def _work_dtype(dtype) -> np.dtype:
@@ -164,17 +174,17 @@ def _work_dtype(dtype) -> np.dtype:
     return np.result_type(dtype, np.float32)
 
 
-def _spectra(segment: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
-    """Magnitude spectra of a segment's frames, each mean-removed and windowed,
-    in the segment's work dtype."""
+def _spectra(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Magnitude spectra of a batch's frames, each mean-removed and windowed,
+    in the frames' work dtype."""
     # imported here: scipy.fft takes longer to import than the rest of the package
     from scipy.fft import rfft
 
-    dtype = _work_dtype(segment.dtype)
-    block = sliding_window_view(segment, window.size)[::hop].astype(dtype)
+    dtype = _work_dtype(frames.dtype)
+    block = frames.astype(dtype)
     block -= block.mean(axis=1, keepdims=True)
-    # a receiver builds its window once, in float64, before any block shows its
-    # stream's dtype; casting one window costs nothing next to a batch of frames
+    # the framer builds its window in float64, once; casting it costs nothing
+    # next to a batch of frames
     block *= window.astype(dtype, copy=False)
     # scipy's float32 rfft is twice as fast as its float64 one; numpy's float32 one
     # is slower than both
@@ -201,17 +211,20 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     steps, fs = _as_stream(samples, sample_rate)
     filled = 0
 
-    def fill(segment):
+    def fill(frames, window):
         nonlocal filled
-        batch = _spectra(segment, window, hop)
+        batch = _spectra(frames, window)
         mags[filled:filled + batch.shape[0]] = batch
         filled += batch.shape[0]
 
     framer = _Framer(window_length, hop, fill)
-    window = hann_window(window_length)
     values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
-    mags = np.empty((max(0, (values.size - window_length) // hop + 1),
-                     window_length // 2 + 1), dtype=_work_dtype(values.dtype))
+    shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
+    try:
+        mags = np.empty(shape, dtype=_work_dtype(values.dtype))
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot address
+        raise ConfigError(f"a spectrogram of {shape[0]} frames of {shape[1]} bins does "
+                          "not fit in memory; use a longer hop") from None
     for block, in steps:
         framer.push(block)
     framer.close()
@@ -255,33 +268,42 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def _track_stft(segment: np.ndarray, window: np.ndarray, hop: int,
+def _track_stft(frames: np.ndarray, window: np.ndarray,
                 sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """``dominant_frequency(stft(...))`` of one batch of frames, from its spectra alone."""
-    return _peaks(_spectra(segment, window, hop), sample_rate / window.size)
+    return _peaks(_spectra(frames, window), sample_rate / window.size)
 
 
-def _track_zero_crossing(segment: np.ndarray, window: np.ndarray, hop: int,
+def _track_zero_crossing(frames: np.ndarray, window: np.ndarray,
                          sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Time-domain frequency of one batch of frames: rising-edge counting.
 
     Only the window's length counts: the frames are not weighted.  Frequency
-    is the number of rising edges divided by the window duration (edges
-    cross the window's min/max midpoint).  Confidence is
-    ``1 - var(gaps)/mean(gap)^2`` clamped to [0, 1]; windows with fewer than
-    two edges report frequency 0 and confidence 0.
+    is the number of rising edges (crossings of the frame's min/max
+    midpoint) divided by the window duration.  Confidence is
+    ``1 - var(gaps)/mean(gap)^2``, that is ``1 - (k*S2 - S1^2)/S1^2`` over
+    the ``k`` gaps' sum ``S1`` and sum of squares ``S2``, clamped to [0, 1];
+    frames with fewer than two edges report frequency 0 and confidence 0.
     """
-    duration = window.size / sample_rate
-    windows = sliding_window_view(segment.astype(np.float64), window.size)
-    rates = np.array([_edge_rate(w, duration) for w in windows[::hop]],
-                     dtype=np.float64)
-    return rates[:, 0], rates[:, 1]
+    n = frames.shape[0]
+    # the midpoint in float64, so that uint8 `lo + hi` cannot wrap
+    thr = 0.5 * (frames.min(axis=1).astype(np.float64) + frames.max(axis=1))
+    above = frames >= thr[:, None]
+    rows, cols = np.nonzero(above[:, 1:] > above[:, :-1])  # below, then above: an edge
+    edges = np.bincount(rows, minlength=n)
+    same = rows[1:] == rows[:-1]  # consecutive edges of one frame bound a gap
+    gaps = np.diff(cols)[same].astype(np.float64)
+    s1, s2 = (np.bincount(rows[1:][same], weights=g, minlength=n) for g in (gaps, gaps * gaps))
+    ok = edges >= 2
+    ratio = np.divide((edges - 1) * s2 - s1 * s1, s1 * s1, out=np.ones(n), where=ok)
+    freqs = np.where(ok, edges / (window.size / sample_rate), 0.0)
+    return freqs, np.clip(1.0 - ratio, 0.0, 1.0)
 
 
 #: tracker name -> (batch function, confidence floor below which a slot is erased);
-#: the function maps one batch and the receiver's Hann window (built once per
-#: receiver), hop and sample rate to its frames' frequencies and confidences
-#: (zero-crossing's lie in [0, 1])
+#: the function maps one batch's frames, the receiver's Hann window (built at
+#: its first batch) and the sample rate to the frames' frequencies and
+#: confidences (zero-crossing's lie in [0, 1])
 TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 
@@ -293,19 +315,16 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     last two with ``sample_rate``); ``receivers`` lists ``(tail,
     window_length, hop)`` triples, each a `_Framer` on the blocks of its tail
     that runs the ``TRACKERS[tracker]`` batch function on each batch of its
-    frames.  Every step goes to every receiver before the next step is
-    drawn, so the stream is produced once and each receiver keeps at most
-    one batch of its frames.  Returns, per receiver and in receiver order,
-    its `FrequencyTrack` or the `DomainError` it ended with (a stream
-    shorter than its window).
+    frames and its window, built at its first batch.  Every step goes to
+    every receiver before the next step is drawn, so the stream is produced
+    once and each receiver keeps at most one batch of its frames.  Returns,
+    per receiver and in receiver order, its `FrequencyTrack` or the
+    `DomainError` it ended with (a stream shorter than its window, which
+    then never builds its window).
     """
     steps, fs = _as_stream(samples, sample_rate)
-    fn, _ = TRACKERS[tracker]
-    framers = []
-    for tail, window_length, hop in receivers:
-        check_framing(window_length, hop)  # before the window is built from it
-        framers.append((tail, _Framer(window_length, hop, functools.partial(
-            fn, window=hann_window(window_length), hop=hop, sample_rate=fs))))
+    fn = functools.partial(TRACKERS[tracker][0], sample_rate=fs)
+    framers = [(tail, _Framer(window_length, hop, fn)) for tail, window_length, hop in receivers]
     for step in steps:
         for tail, framer in framers:
             framer.push(step[tail])
@@ -315,10 +334,11 @@ def track_all(samples, receivers: list, tracker: str = "stft",
 def _finish(framer: _Framer, sample_rate: float) -> FrequencyTrack | DomainError:
     """The track of a receiver's framer, or the error its stream ended with."""
     try:
-        batches = framer.close()
+        freqs, confs = zip(*framer.close())
     except DomainError as exc:
         return exc
-    freqs, confs = (np.concatenate(column) for column in zip(*batches))
+    freqs = np.concatenate(freqs)  # a column's batches go as soon as it is joined
+    confs = np.concatenate(confs)
     times = _frame_times(freqs.size, framer.window_length, framer.hop, sample_rate)
     return FrequencyTrack(times, freqs, confs)
 
@@ -346,19 +366,3 @@ def zero_crossing_frequency(samples, window_length: int, hop: int,
     """The ``"zero_crossing"`` tracker (rising-edge counting, see
     `_track_zero_crossing`) over the same inputs as `stft_track`."""
     return _track_one(samples, window_length, hop, "zero_crossing", sample_rate)
-
-
-def _edge_rate(w: np.ndarray, duration: float) -> tuple[float, float]:
-    """Rising-edge frequency and gap-regularity confidence of one window."""
-    lo, hi = w.min(), w.max()
-    if hi <= lo:
-        return 0.0, 0.0
-    thr = 0.5 * (lo + hi)
-    above = w >= thr
-    edges = np.flatnonzero(~above[:-1] & above[1:]) + 1
-    if edges.size < 2:
-        return 0.0, 0.0
-    gaps = np.diff(edges).astype(np.float64)
-    mean_gap = gaps.mean()
-    conf = 1.0 - gaps.var() / (mean_gap * mean_gap)
-    return edges.size / duration, float(np.clip(conf, 0.0, 1.0))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lightleak
 from lightleak import ChannelConfig, SymbolAlphabet, _kernels, cli, fileio
-from lightleak.traces import LevelTrace
+from lightleak.traces import LevelTrace, SensorTrace
 
 FAST_CONFIG = """\
 # cheap clean link for CLI tests
@@ -184,6 +184,20 @@ def test_warning_is_one_stderr_line(config_file, tmp_path, capsys):
     assert out.read_bytes() == quiet.read_bytes()
 
 
+def test_sweep_counts_a_window_too_big_for_memory_as_errors(config_file, tmp_path, capsys):
+    # the 2**30 window (8 GiB of float64) is never built: the trace is shorter
+    out = tmp_path / "sweep.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the big window crowds the slots
+        rc = cli.main(["sweep", "--parameter", "window_length", "--values", "1024,1073741824",
+                       "--trials", "2", "--payload-hex", "41", "--config", config_file,
+                       "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = [line.split() for line in out.read_text().splitlines()[2:]]
+    assert [(row[0], row[-1]) for row in rows] == [("1024.0", "0"), ("1073741824.0", "2")]
+
+
 def test_render_explicit_duration(config_file, tmp_path):
     sched_path = tmp_path / "s.txt"
     trace_path = tmp_path / "t.bin"
@@ -303,6 +317,8 @@ def _no_render(*args, **kwargs):
     # 10**16 samples (8.88 PiB): numpy refuses the trace without allocating it
     (["render", "--schedule", "{sched}", "--duration", "1e9", "--out", "{tmp}/t.bin"],
      "config error: a trace of 10000000000000000 samples"),
+    (["simulate", "--payload-hex", "41", "--config", "{latin1}"],
+     "config error: config file"),
 ])
 def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
                                              capsys, monkeypatch):
@@ -310,12 +326,16 @@ def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp
     fileio.export_trace(LevelTrace(10_000_000.0, np.full(8192, 137.0)), level)
     sched = tmp_path / "sched.txt"
     sched.write_text("# initial_level=137\n0.5 135\n")  # needs >= 0.501 s
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("distance = 0.1  # 10 cm, \u00e0 peu pr\u00e8s\n".encode("latin-1"))
 
     # every render, streamed or whole, starts with these kernels
     monkeypatch.setattr(_kernels, "level_fill", _no_render)
     monkeypatch.setattr(_kernels, "pwm_wave", _no_render)
-    argv = [a.format(tmp=tmp_path, level=level, sched=sched) for a in command]
-    assert cli.main(argv + ["--config", config_file]) == cli.EXIT_CONFIG_ERROR
+    argv = [a.format(tmp=tmp_path, level=level, sched=sched, latin1=latin1)
+            for a in command]
+    # the shared config goes first, so a case's own --config wins
+    assert cli.main(argv[:1] + ["--config", config_file] + argv[1:]) == cli.EXIT_CONFIG_ERROR
     err = _one_line_error(capsys)
     assert err.startswith(fragment)
     if "{level}" in command:
@@ -338,14 +358,30 @@ def test_non_finite_config_value_exit_two(key, value):
     assert line.startswith(f"config error: config line 1: {key} ")
 
 
-def _run_module(*args) -> subprocess.CompletedProcess:
+def _run_module(*args, **kwargs) -> subprocess.CompletedProcess:
     """``python -m lightleak ARGS`` in a fresh interpreter, the package found
-    on PYTHONPATH as it is found here."""
+    on PYTHONPATH as it is found here; ``kwargs`` go to `subprocess.run`."""
     src = str(Path(lightleak.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lightleak", *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-                          check=False)
+                          check=False, **kwargs)
+
+
+def test_spectrogram_too_big_for_memory_exit_two(tmp_path):
+    # hop 1 on a 1 M-sample trace asks for 8.2 GB of frames; under a 4 GiB
+    # address-space limit numpy refuses them whatever the host's memory
+    resource = pytest.importorskip("resource")
+    trace = tmp_path / "t.bin"
+    fileio.export_trace(SensorTrace(10_000_000.0, np.zeros(1_000_000, dtype=np.uint8)), trace)
+    limit = 4 << 30
+    done = _run_module(
+        "spectrogram", "--trace", str(trace), "--out", str(tmp_path / "spec.txt"),
+        "--set", "hop=1",
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == cli.EXIT_CONFIG_ERROR
+    assert done.stderr.startswith("config error: a spectrogram of 995905 frames of 2049 bins")
+    assert done.stderr.count("\n") == 1
 
 
 def test_python_m_runs_the_cli():

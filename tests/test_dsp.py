@@ -1,7 +1,12 @@
 """STFT, dominant-frequency tracking, and the zero-crossing cross-check."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import synth_square
@@ -76,6 +81,15 @@ class TestStft:
                 stft(np.zeros(10_000), window, hop, sample_rate=FS)
             with pytest.raises(DomainError, match="window_length|hop"):
                 dsp.stft_track(np.zeros(10_000), window, hop, sample_rate=FS)
+
+    def test_hop_beyond_int64(self):
+        # frame times are float64 from the start, so a huge hop cannot overflow
+        x = synth_square(400_000.0, FS, 10_000)
+        for track in (dsp.stft_track(x, 4096, 2 ** 70, FS),
+                      zero_crossing_frequency(x, 4096, 2 ** 70, FS)):
+            assert len(track) == 1
+            assert track.frame_times.tolist() == [4096 / 2 / FS]
+        assert stft(x, 4096, 2 ** 70, FS).frame_times.tolist() == [4096 / 2 / FS]
 
     def test_sample_rate_required_for_arrays(self):
         with pytest.raises(DomainError):
@@ -247,6 +261,47 @@ class TestZeroCrossing:
         assert track.confidences[0] == 0.0
 
 
+def _edge_rate(w, duration):
+    """Rising-edge frequency and gap-regularity confidence of one frame, one
+    frame at a time: the reference the batch tracker must match."""
+    lo, hi = w.min(), w.max()
+    if hi <= lo:
+        return 0.0, 0.0
+    thr = 0.5 * (lo + hi)
+    above = w >= thr
+    edges = np.flatnonzero(~above[:-1] & above[1:]) + 1
+    if edges.size < 2:
+        return 0.0, 0.0
+    gaps = np.diff(edges).astype(np.float64)
+    mean_gap = gaps.mean()
+    conf = 1.0 - gaps.var() / (mean_gap * mean_gap)
+    return edges.size / duration, float(np.clip(conf, 0.0, 1.0))
+
+
+@st.composite
+def _signals(draw, n):
+    kind = draw(st.sampled_from(["bits_uint8", "bits_float", "uint8", "analog"]))
+    if kind == "analog":
+        return draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    x = draw(arrays(np.uint8, n, elements=st.integers(0, 1 if kind.startswith("bits") else 255)))
+    return x.astype(np.float64) if kind == "bits_float" else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.sampled_from([2, 4, 8, 16, 32, 64]), data=st.data())
+def test_zero_crossing_matches_per_frame_reference(window, data):
+    hop = data.draw(st.integers(1, 3 * window), label="hop")
+    x = data.draw(st.integers(window, 400).flatmap(_signals), label="x")
+    # three frames a batch and 13-sample blocks: several batches, split across blocks
+    with mock.patch.object(dsp, "_STFT_BLOCK", 3), \
+            mock.patch.object(traces, "BLOCK_SAMPLES", 13):
+        track = zero_crossing_frequency(x, window, hop, FS)
+    frames = sliding_window_view(x.astype(np.float64), window)[::hop]
+    want = np.array([_edge_rate(frame, window / FS) for frame in frames]).reshape(-1, 2)
+    assert np.array_equal(track.frequencies, want[:, 0])
+    assert np.allclose(track.confidences, want[:, 1], rtol=0.0, atol=1e-12)
+
+
 def _tracks_equal(a, b):
     return (np.array_equal(a.frame_times, b.frame_times)
             and np.array_equal(a.frequencies, b.frequencies)
@@ -307,8 +362,7 @@ class TestBlockEdges:
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
-        framer = dsp._Framer(window, hop,
-                             lambda segment: sliding_window_view(segment, window)[::hop])
+        framer = dsp._Framer(window, hop, lambda frames, _: frames)
         for block in traces.blocks(x):
             framer.push(block)
         frames = framer.close()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lightleak as ll
-from lightleak import _kernels, bulb, channel, codec, fileio, harness, traces
+from lightleak import _kernels, bulb, channel, codec, dsp, fileio, harness, traces
 from lightleak.errors import (
     CalibrationError,
     ConfigError,
@@ -330,6 +330,41 @@ class TestReceiveAll:
         assert isinstance(noisy, CalibrationError) and noisy.stage == "calibrate"
         assert ok.payload == b"\x41" and ok.ber == 0.0
         assert isinstance(short, DomainError) and short.stage == "track"
+
+
+    def test_no_window_for_a_stream_shorter_than_it(self, fast_link, monkeypatch):
+        # a receiver builds its window at its first batch of frames, so a window
+        # too big for memory, on a shorter stream, is that receiver's track error
+        built, hann = [], dsp.hann_window
+
+        def bounded(n):
+            built.append(n)
+            assert n <= 2 ** 24, f"built a {n}-sample window"
+            return hann(n)
+
+        monkeypatch.setattr(dsp, "hann_window", bounded)
+        config, alphabet = fast_link
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        steps = channel.link_blocks(schedule, [config], duration)
+        ok, *short = harness.receive_all(
+            steps, alphabet, [(0, 4096, 2048), (0, 2 ** 22, 2 ** 21), (0, 2 ** 30, 2 ** 29),
+                              (0, 2 ** 70, 2 ** 69)],
+            reference=b"\x41", sample_rate=config.sample_rate)
+        assert ok.ber == 0.0
+        assert all(isinstance(exc, DomainError) and exc.stage == "track" for exc in short)
+        assert built == [4096]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the windows crowd the slots
+            with pytest.raises(DomainError) as exc_info:
+                harness.run_end_to_end(config, alphabet, b"\x41", window_length=2 ** 30)
+            assert exc_info.value.stage == "track"
+            spec = harness.SweepSpec(
+                parameter="window_length", values=(4096, 2 ** 30, 2 ** 70), trials=2,
+                config=config, alphabet=alphabet, payload=b"\x5a", seed=4)
+            good, *too_long = harness.sweep(spec)
+        assert (good.decode_errors, good.mean_ber) == (0, 0.0)
+        assert [(p.decode_errors, p.mean_ber) for p in too_long] == [(2, 1.0)] * 2
+        assert set(built) == {4096}
 
 
 class TestSweep:
