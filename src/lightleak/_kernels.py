@@ -2,17 +2,17 @@
 
 The four inner loops that dominate runtime at 10 MS/s all live here:
 
-* ``level_fill``  -- sample a piecewise-linear fade profile,
-* ``pwm_wave``    -- render a PWM on/off waveform from a level trace,
+* ``level_fill``  -- sample a piecewise-linear fade profile at given samples,
+* ``pwm_wave``    -- render a PWM on/off waveform from the level at period starts,
 * ``lowpass``     -- first-order low-pass (photodiode integration),
 * ``square_wave`` -- phase-accumulating oscillator (light-to-frequency output).
 
-The kernels render one block of a longer trace at a time.  ``level_fill`` and
-``pwm_wave`` take the absolute index of the block's first sample, and
-``pwm_wave``, ``lowpass`` and ``square_wave`` take the state the previous
-block ended in (latched duty, filter output, oscillator phase); ``pwm_wave``
-and ``square_wave`` return their end state with the block.  Rendering a
-trace block by block therefore gives the same bits as one pass over it.
+The kernels render one block of a longer trace at a time.  ``level_fill``
+and ``pwm_wave`` take absolute sample indices, and ``pwm_wave``, ``lowpass``
+and ``square_wave`` take the state the previous block ended in (latched
+duty, filter output, oscillator phase); ``pwm_wave`` and ``square_wave``
+return their end state with the block.  Rendering a trace block by block
+therefore gives the same bits as one pass over it.
 """
 
 from __future__ import annotations
@@ -23,58 +23,58 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def level_fill(bounds: np.ndarray, t0s: np.ndarray, spans: np.ndarray,
-               v0s: np.ndarray, dvs: np.ndarray, dt: float,
-               start: int, stop: int) -> np.ndarray:
-    """Sample piecewise-linear segments onto samples ``start:stop`` of a uniform grid.
+def level_fill(bounds: np.ndarray, times: np.ndarray, levels: np.ndarray, dt: float,
+               idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Level at the ascending sample indices ``idx`` of a uniform grid.
 
-    Segment ``j`` covers samples ``bounds[j]:bounds[j+1]`` and ramps from
-    ``v0s[j]`` over ``spans[j]`` seconds starting at ``t0s[j]``; the ramp
-    fraction is clamped to [0, 1] so a segment holds its end value once the
-    ramp completes.  Sample ``i`` sits at ``i * dt`` whatever block it is
-    rendered in.
+    The level runs linearly from knot ``j`` (``levels[j]`` at ``times[j]``)
+    to knot ``j+1`` and holds its value past the last knot; line ``j`` owns
+    samples ``bounds[j]:bounds[j+1]``, and its ramp fraction is clamped to
+    [0, 1].  Sample ``i`` sits at ``i * dt`` whatever block it is read in.
+    The levels go to ``out`` (a new float64 array if None), which may be
+    ``idx`` itself.
     """
-    out = np.empty(stop - start, dtype=np.float64)
-    first = int(np.searchsorted(bounds, start, side="right")) - 1
-    last = int(np.searchsorted(bounds, stop, side="left"))
-    for j in range(max(first, 0), min(last, t0s.size)):
-        lo, hi = max(int(bounds[j]), start), min(int(bounds[j + 1]), stop)
-        if hi <= lo:
+    if out is None:
+        out = np.empty(idx.size, dtype=np.float64)
+    cuts = np.searchsorted(idx, bounds)  # line j owns idx[cuts[j]:cuts[j+1]]
+    for j in np.flatnonzero(cuts[1:] > cuts[:-1]):
+        lo, hi = cuts[j], cuts[j + 1]
+        if j + 1 == times.size or levels[j + 1] == levels[j]:
+            out[lo:hi] = levels[j]
             continue
-        if dvs[j] == 0.0:
-            out[lo - start:hi - start] = v0s[j]
-            continue
-        t = np.arange(lo, hi, dtype=np.float64) * dt
-        frac = np.clip((t - t0s[j]) / spans[j], 0.0, 1.0)
-        out[lo - start:hi - start] = v0s[j] + dvs[j] * frac
+        t = idx[lo:hi] * dt
+        frac = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
+        out[lo:hi] = levels[j] + (levels[j + 1] - levels[j]) * frac
     return out
 
 
-def pwm_wave(levels: np.ndarray, step: float, start: int,
+def pwm_wave(level_at, step: float, start: int, stop: int,
              duty: float) -> tuple[np.ndarray, float]:
-    """PWM waveform of samples ``start:start + levels.size``.
+    """PWM waveform of samples ``start:stop``.
 
     ``step = pwm_frequency / sample_rate``.  The duty for each PWM period is
-    latched from the level at the period's first sample (zero-order hold).
-    Sample ``i`` sits at phase ``i * step`` PWM periods; it is on while the
-    within-period phase is below the duty.  Computing the phase directly from
-    the index keeps long traces drift-free.  ``duty`` is the duty latched by
-    the period open at sample ``start - 1``; the duty latched by the period
-    open at the last sample is returned with the waveform, for the next block.
+    latched from the level at the period's first sample (zero-order hold);
+    ``level_at(idx)`` gives the levels at ascending absolute sample indices
+    and is asked, once per call, only for the period starts.  Sample ``i``
+    sits at phase ``i * step`` PWM periods; it is on while the within-period
+    phase is below the duty.  Computing the phase directly from the index
+    keeps long traces drift-free.  ``duty`` is the duty latched by the period
+    open at sample ``start - 1``; the duty latched by the period open at the
+    last sample is returned with the waveform, for the next block.
     """
-    n = levels.size
+    n = stop - start
     if n == 0:
         return np.zeros(0, dtype=np.uint8), duty
-    phase = np.arange(start, start + n, dtype=np.float64) * step
+    phase = np.arange(start, stop, dtype=np.float64) * step
     period = np.floor(phase)
     frac = phase - period
     # period indices are non-decreasing, so run starts mark period starts
-    starts = np.flatnonzero(period[1:] != period[:-1]) + 1
-    # the first run continues the previous block's period unless one starts here
-    if start == 0 or np.floor((start - 1) * step) != period[0]:
-        duty = levels[0] / 255.0
-    duties = np.concatenate(([duty], levels[starts] / 255.0))
-    counts = np.diff(np.concatenate(([0], starts, [n])))
+    runs = np.concatenate(([0], np.flatnonzero(period[1:] != period[:-1]) + 1))
+    # the first run continues the previous block's period, and keeps its duty,
+    # unless one starts here
+    carried = int(start > 0 and np.floor((start - 1) * step) == period[0])
+    duties = np.concatenate(([duty] * carried, level_at(start + runs[carried:]) / 255.0))
+    counts = np.diff(np.append(runs, n))
     return (frac < np.repeat(duties, counts)).astype(np.uint8), float(duties[-1])
 
 
@@ -106,4 +106,5 @@ def square_wave(freq: np.ndarray, sample_rate: float,
     # same sum as carrying it through a single pass
     steps[0] += phi
     phase = np.cumsum(steps)
-    return (np.floor(2.0 * phase).astype(np.int64) & 1).astype(np.uint8), float(phase[-1])
+    # the phase is non-negative, so its fraction is exact: high in each cycle's second half
+    return (phase - np.floor(phase) >= 0.5).view(np.uint8), float(phase[-1])

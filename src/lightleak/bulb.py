@@ -143,37 +143,30 @@ def fade_profile(from_level: int, to_level: int, fade_duration: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _fade_segments(schedule: CommandSchedule, fade_duration: float):
-    """Piecewise-linear (t_start, t_end, v_start, v_end) segments of the level.
+def _fade_knots(schedule: CommandSchedule, fade_duration: float):
+    """Knot times and levels of the piecewise-linear level of a schedule.
 
-    Each command starts a linear ramp from the level the bulb is currently at
-    (re-anchoring when fades overlap) toward its target over the fade time.
+    The level runs linearly between knots and holds past the last one.  Each
+    command adds a knot at its own time, at the level the bulb is at, and
+    one where its ramp toward its target ends or the next command cuts it
+    short (re-anchoring when fades overlap); a zero fade is two knots at one
+    time.
     """
+    times, levels = [0.0], [float(schedule.initial_level)]
     cmds = schedule.commands
-    cur_v = float(schedule.initial_level)
-    if not cmds:
-        return [(0.0, np.inf, cur_v, cur_v)]
-    # hold the initial level until the first command
-    segments = [(0.0, cmds[0].at_time, cur_v, cur_v)]
     for k, cmd in enumerate(cmds):
+        cur_v, target = levels[-1], float(cmd.level)
+        times.append(cmd.at_time)
+        levels.append(cur_v)
+        fade_end = cmd.at_time + fade_duration
         next_t = cmds[k + 1].at_time if k + 1 < len(cmds) else np.inf
-        target = float(cmd.level)
-        if fade_duration == 0.0:
-            seg = (cmd.at_time, next_t, target, target)
-            v_end = target
+        if next_t < fade_end:
+            times.append(next_t)
+            levels.append(cur_v + (target - cur_v) * ((next_t - cmd.at_time) / fade_duration))
         else:
-            fade_end = cmd.at_time + fade_duration
-            if next_t < fade_end:
-                frac = (next_t - cmd.at_time) / fade_duration
-                v_end = cur_v + (target - cur_v) * frac
-                seg = (cmd.at_time, next_t, cur_v, v_end)
-            else:
-                segments.append((cmd.at_time, fade_end, cur_v, target))
-                seg = (fade_end, next_t, target, target)
-                v_end = target
-        segments.append(seg)
-        cur_v = v_end
-    return segments
+            times.append(fade_end)
+            levels.append(target)
+    return np.array(times), np.array(levels)
 
 
 def check_duration(schedule: CommandSchedule, config: ChannelConfig,
@@ -196,21 +189,19 @@ def sample_count(config: ChannelConfig, duration: float) -> int:
 
 
 class LevelPlan(NamedTuple):
-    """The fade segments of a schedule, segment ``j`` owning samples
-    ``bounds[j]:bounds[j+1]`` of a ``n``-sample render."""
+    """The level knots of a schedule (see `_fade_knots`) on the grid of an
+    ``n``-sample render, the line from knot ``j`` owning samples
+    ``bounds[j]:bounds[j+1]``."""
 
     n: int
     bounds: np.ndarray
-    t0s: np.ndarray
-    spans: np.ndarray
-    v0s: np.ndarray
-    dvs: np.ndarray
+    times: np.ndarray
+    levels: np.ndarray
     dt: float
 
-    def render(self, start: int, stop: int) -> np.ndarray:
-        """Effective level at samples ``start:stop``."""
-        return _kernels.level_fill(self.bounds, self.t0s, self.spans, self.v0s,
-                                   self.dvs, self.dt, start, stop)
+    def at(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Effective level at ascending sample indices (see `_kernels.level_fill`)."""
+        return _kernels.level_fill(self.bounds, self.times, self.levels, self.dt, idx, out)
 
 
 def level_plan(schedule: CommandSchedule, config: ChannelConfig,
@@ -220,28 +211,31 @@ def level_plan(schedule: CommandSchedule, config: ChannelConfig,
     The level before the first command is ``schedule.initial_level``; each
     command starts a linear fade (``config.fade_duration``) from the current
     level toward its target.  Overlapping fades re-anchor at the interpolated
-    level.
+    level.  Nothing is rendered here: the plan gives the level at the
+    samples asked for.  A grid of more than 2**53 samples is refused.
     """
     check_duration(schedule, config, duration)
+    samples = duration * config.sample_rate
+    if not samples <= 2 ** 53:  # past it, float64 sample times and PWM phases are not exact
+        raise ConfigError(f"a trace of {samples:.17g} samples is more than 2**53, past "
+                          "which sample times are not exact")
     n = sample_count(config, duration)
-    segments = _fade_segments(schedule, config.fade_duration)
-    t0s = np.array([s[0] for s in segments])
-    spans = np.array([s[1] - s[0] for s in segments])
-    v0s = np.array([s[2] for s in segments])
-    dvs = np.array([s[3] - s[2] for s in segments])
-    # segment j owns samples with t0s[j] <= i*dt < t0s[j+1]
-    bounds = np.ceil(t0s * config.sample_rate).astype(np.int64)
+    times, levels = _fade_knots(schedule, config.fade_duration)
+    # the line from knot j owns samples with times[j] <= i*dt < times[j+1]
+    bounds = np.ceil(times * config.sample_rate).astype(np.int64)
     bounds = np.clip(np.maximum.accumulate(bounds), 0, n)
     bounds = np.append(bounds, n)
     bounds[0] = 0
-    return LevelPlan(n, bounds, t0s, spans, v0s, dvs, 1.0 / config.sample_rate)
+    return LevelPlan(n, bounds, times, levels, 1.0 / config.sample_rate)
 
 
 def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
                        duration: float) -> LevelTrace:
     """Sample the effective brightness level over ``[0, duration)`` (see `level_plan`)."""
     plan = level_plan(schedule, config, duration)
-    return LevelTrace(config.sample_rate, plan.render(0, plan.n))
+    # the sample indices are overwritten by their levels: one array in all
+    values = np.arange(plan.n, dtype=np.float64)
+    return LevelTrace(config.sample_rate, plan.at(values, out=values))
 
 
 def pwm_step(config: ChannelConfig) -> float:
@@ -269,5 +263,5 @@ def render_pwm(levels: LevelTrace, config: ChannelConfig) -> PwmTrace:
         raise ConfigError(
             f"level trace sample rate {levels.sample_rate} != config sample rate "
             f"{config.sample_rate}")
-    wave, _ = _kernels.pwm_wave(levels.values, pwm_step(config), 0, 0.0)
+    wave, _ = _kernels.pwm_wave(levels.values.__getitem__, pwm_step(config), 0, len(levels), 0.0)
     return PwmTrace(config.sample_rate, wave)

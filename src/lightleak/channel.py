@@ -6,10 +6,10 @@ light).  The sensor integrates the intensity with a first-order low-pass and
 drives an oscillator whose square-wave output frequency is linear in the
 filtered intensity, reaching ``sensor_full_scale_frequency`` at intensity 1.
 
-The link is streamed (`link_blocks`): one source renders the level plan, the
-PWM waveform and one noise draw, and feeds it to one tail per config, the
-optical path and the sensor, so configs that differ only in tail fields
-share the source.  Each step yields one block per tail; a single link is the
+The link is streamed (`link_blocks`): one source renders the PWM waveform
+(from the level at period starts) and one noise draw, and feeds them to one
+tail per config, the optical path and the sensor, so configs that differ
+only in tail fields share the source.  Each step yields one block per tail; a single link is the
 one-tail case, and `simulate_link` joins its blocks into one trace.
 """
 
@@ -109,14 +109,15 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
 
     Each step is a tuple of one block per config, in config order.  The
     configs must agree on every field outside `TAIL_FIELDS`.  One source
-    renders what those fields fix: the level plan, the PWM waveform and one
-    standard-normal draw from ``rng_seed`` (only if some config has noise).
+    renders what those fields fix: the PWM waveform, reading the level plan
+    at period starts only, and one standard-normal draw from ``rng_seed``
+    (only if some config has noise).
     One tail per config turns them into light (`propagate`'s formula, its
     ``noise_sigma`` scaling the shared draw) and runs its sensor.  So a noise
     or distance sweep renders the transmit half once for all its values.
 
     Both halves run on blocks of ``traces.BLOCK_SAMPLES`` samples and carry
-    their state across block edges: the fade segments and the PWM phase
+    their state across block edges: the level knots and the PWM phase
     follow the absolute sample index, the PWM period open at the edge keeps
     its latched duty, one generator draws all the noise, and each tail's
     low-pass output and oscillator phase carry over.  Each tail's blocks
@@ -142,7 +143,7 @@ def _source(plan: bulb.LevelPlan, step: float,
     duty = 0.0
     for start in range(0, plan.n, traces.BLOCK_SAMPLES):
         stop = min(start + traces.BLOCK_SAMPLES, plan.n)
-        pwm, duty = _kernels.pwm_wave(plan.render(start, stop), step, start, duty)
+        pwm, duty = _kernels.pwm_wave(plan.at, step, start, stop, duty)
         yield pwm, None if rng is None else rng.standard_normal(stop - start)
 
 

@@ -38,7 +38,8 @@ from . import traces
 from .errors import ConfigError, DomainError
 from .traces import SensorTrace
 
-#: frames per STFT batch; batches always start at a multiple of this frame
+#: frames per STFT batch (fewer when the hop is longer than the window, see
+#: `_Framer`); batches always start at a multiple of the batch size
 _STFT_BLOCK = 512
 
 
@@ -110,8 +111,11 @@ class _Framer:
     """Cuts a pushed stream of sample blocks into batches of frames.
 
     Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
-    frames ``k*_STFT_BLOCK`` up to ``(k+1)*_STFT_BLOCK`` (fewer in the last
-    one), whatever the block sizes.  `push` calls ``fn(frames, window)`` on
+    frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one), whatever the
+    block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
+    ``_STFT_BLOCK * window_length // hop`` (at least 1) when the hop is
+    longer than the window, so a batch never spans more samples than
+    ``_STFT_BLOCK`` windows.  `push` calls ``fn(frames, window)`` on
     each batch as soon as its last sample arrives, with the receiver's Hann
     window (built then, at the first batch), and keeps only the samples that
     later frames still need, so memory does not grow with the stream.
@@ -124,8 +128,9 @@ class _Framer:
         check_framing(window_length, hop)
         self.window_length, self.hop, self._fn = window_length, hop, fn
         self._window = None
-        self._span = (_STFT_BLOCK - 1) * hop + window_length  # samples of a full batch
-        self._step = _STFT_BLOCK * hop  # from one batch's first frame to the next's
+        frames = min(_STFT_BLOCK, max(1, _STFT_BLOCK * window_length // hop))
+        self._span = (frames - 1) * hop + window_length  # samples of a full batch
+        self._step = frames * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
         self._results = []
 

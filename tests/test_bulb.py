@@ -208,6 +208,64 @@ class TestRenderLevelTrace:
         assert np.array_equal(a.values, b.values)
 
 
+def _reference_level(schedule, config, duration):
+    """The level at every sample from fade segments ``(t_start, t_end,
+    v_start, v_end)``, each owning the samples from its start time to the
+    next one's, with a per-sample clamped ramp formula."""
+    cmds, fade = schedule.commands, config.fade_duration
+    cur = float(schedule.initial_level)
+    segments = [(0.0, cmds[0].at_time if cmds else np.inf, cur, cur)]
+    for k, cmd in enumerate(cmds):
+        next_t = cmds[k + 1].at_time if k + 1 < len(cmds) else np.inf
+        target = float(cmd.level)
+        if fade == 0.0:
+            segments.append((cmd.at_time, next_t, target, target))
+            cur = target
+        elif next_t < cmd.at_time + fade:
+            end = cur + (target - cur) * ((next_t - cmd.at_time) / fade)
+            segments.append((cmd.at_time, next_t, cur, end))
+            cur = end
+        else:
+            segments.append((cmd.at_time, cmd.at_time + fade, cur, target))
+            segments.append((cmd.at_time + fade, next_t, target, target))
+            cur = target
+    n = int(round(duration * config.sample_rate))
+    starts = np.array([s[0] for s in segments])
+    owner = np.ceil(starts * config.sample_rate).astype(np.int64)
+    owner = np.clip(np.maximum.accumulate(owner), 0, n)
+    owner[0] = 0
+    out = np.empty(n)
+    dt = 1.0 / config.sample_rate
+    for i in range(n):
+        t0, t1, v0, v1 = segments[np.searchsorted(owner, i, side="right") - 1]
+        if v1 == v0:
+            out[i] = v0
+        else:
+            out[i] = v0 + (v1 - v0) * min(max((i * dt - t0) / (t1 - t0), 0.0), 1.0)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.integers(0, 255),
+       fade=st.sampled_from([0.0, 0.0013, 0.002, 0.00137]),
+       first=st.sampled_from([0.0, 0.0004, 0.00123]),
+       # in fade units: overlapping (< 1), back to back (1) and apart (> 1)
+       gaps=st.lists(st.tuples(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5]),
+                               st.integers(0, 255)), max_size=5),
+       sample_rate=st.sampled_from([100_000.0, 123_457.0, 99_999.7, 250_000.0]))
+def test_level_trace_matches_per_sample_reference(initial, fade, first, gaps, sample_rate):
+    cfg = ChannelConfig(sample_rate=sample_rate, pwm_frequency=1000.0,
+                        sensor_full_scale_frequency=20_000.0, fade_duration=fade)
+    pairs, t = [], first
+    for gap, level in gaps:
+        pairs.append((t, level))
+        t += gap * (fade or 0.001)
+    sched = CommandSchedule.from_pairs(pairs, initial)
+    duration = sched.last_time + fade + 0.0021
+    got = render_level_trace(sched, cfg, duration).values
+    assert np.array_equal(got, _reference_level(sched, cfg, duration))
+
+
 class TestRenderPwm:
     CFG = ChannelConfig()  # 20 kHz PWM at 10 MS/s
 

@@ -164,9 +164,15 @@ class TestBlockEdges:
     SCHEDULE = CommandSchedule.from_pairs([(0.0011, 135), (0.0019, 180), (0.0052, 140)], 137)
     DURATION = 0.0083
 
-    @pytest.mark.parametrize("block", [7919, 10_000_000])
-    def test_sensor_trace_independent_of_block_size(self, monkeypatch, block):
-        cfg, sched = self.CONFIG, self.SCHEDULE
+    # blocks of 500 and 501 samples are shorter than a PWM period (about 506
+    # samples), so some hold no period start; a zero fade switches at once
+    BLOCKS = (7919, 10_000_000, 500, 501)
+
+    @pytest.mark.parametrize("block, fade", [(b, 0.0013) for b in BLOCKS]
+                             + [(b, 0.0) for b in BLOCKS],
+                             ids=[str(b) for b in BLOCKS] + [f"zero_fade-{b}" for b in BLOCKS])
+    def test_sensor_trace_independent_of_block_size(self, monkeypatch, block, fade):
+        cfg, sched = self.CONFIG.replace(fade_duration=fade), self.SCHEDULE
         default = simulate_link(sched, cfg, self.DURATION).values
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         edges = np.arange(block, default.size, block)

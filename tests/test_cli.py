@@ -314,11 +314,13 @@ def _no_render(*args, **kwargs):
      "config error: --duration"),
     (["render", "--schedule", "{sched}", "--duration", "inf", "--out", "{tmp}/t.bin"],
      "config error: --duration"),
-    # 10**16 samples (8.88 PiB): numpy refuses the trace without allocating it
+    # 10**16 samples: past 2**53, where sample times are no longer exact
     (["render", "--schedule", "{sched}", "--duration", "1e9", "--out", "{tmp}/t.bin"],
      "config error: a trace of 10000000000000000 samples"),
     (["simulate", "--payload-hex", "41", "--config", "{latin1}"],
      "config error: config file"),
+    (["simulate", "--payload-hex", "41", "--set", "sample_rate=1e300"],
+     "config error: a trace of "),
 ])
 def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
                                              capsys, monkeypatch):

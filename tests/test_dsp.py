@@ -1,5 +1,6 @@
 """STFT, dominant-frequency tracking, and the zero-crossing cross-check."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -366,8 +367,23 @@ class TestBlockEdges:
         for block in traces.blocks(x):
             framer.push(block)
         frames = framer.close()
-        assert [f.shape[0] for f in frames[:-1]] == [3] * (len(frames) - 1)
+        k = min(3, max(1, 3 * window // hop))  # hops past the window cut the batch
+        assert [f.shape[0] for f in frames[:-1]] == [k] * (len(frames) - 1)
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
+
+    def test_long_hop_holds_no_more_than_a_short_one(self):
+        def peak(hop):
+            # 8 M samples, fresh blocks as a link makes them
+            stream = (((np.arange(k, k + 65_536) // 7 % 2).astype(np.uint8),)
+                      for k in range(0, 2 ** 23, 65_536))
+            tracemalloc.start()
+            try:
+                zero_crossing_frequency(stream, 4096, hop, FS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2 ** 20) <= peak(2048)
 
     def test_stream_shorter_than_a_window(self):
         blocks = iter([(np.zeros(100, dtype=np.uint8),), (np.ones(100, dtype=np.uint8),)])

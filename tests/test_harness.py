@@ -83,6 +83,33 @@ class TestRunEndToEnd:
             ll.run_end_to_end(crowded, alphabet, b"\x41")
         assert [w.filename for w in (*direct, *wrapped)] == [__file__, __file__]
 
+    def test_grid_past_2_53_samples_refused(self, fast_link):
+        config, alphabet = fast_link
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="a trace of .* samples is more than 2"):
+                ll.run_end_to_end(config.replace(sample_rate=1e300), alphabet, b"\x41")
+
+    def test_link_reads_the_level_only_where_a_period_starts(self, monkeypatch):
+        # the criterion-5 link
+        config = ll.ChannelConfig(noise_sigma=0.0, fade_duration=0.002,
+                                  sensor_time_constant=0.001, max_command_rate=200.0)
+        alphabet = ll.SymbolAlphabet(symbol_period=0.005)
+        asked = []
+        level_fill = _kernels.level_fill
+
+        def counted(bounds, times, levels, dt, idx, out=None):
+            asked.append(idx.size)
+            return level_fill(bounds, times, levels, dt, idx, out)
+
+        monkeypatch.setattr(_kernels, "level_fill", counted)
+        result = ll.run_end_to_end(config, alphabet, bytes(range(0x41, 0x49)))
+        assert result.report.ber == 0.0
+        n = result.samples_processed
+        blocks = -(-n // traces.BLOCK_SAMPLES)
+        assert len(asked) == blocks
+        assert sum(asked) <= np.ceil(n * bulb.pwm_step(config)) + blocks
+
     def test_unknown_tracker(self, fast_link):
         config, alphabet = fast_link
         with pytest.raises(ConfigError):

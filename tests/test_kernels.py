@@ -24,15 +24,28 @@ def _wavy_levels(n=N):
 
 class TestStreamedEqualsOnePass:
     def test_level_fill(self):
-        t0s = np.array([0.0, 0.01, 0.013, 0.02])
-        spans = np.array([0.01, 0.003, 0.007, np.inf])
-        v0s = np.array([10.0, 10.0, 130.0, 255.0])
-        dvs = np.array([0.0, 120.0, 125.0, 0.0])
+        times = np.array([0.0, 0.01, 0.013, 0.02])
+        levels = np.array([10.0, 10.0, 130.0, 255.0])
         bounds = np.array([0, 100_000, 130_000, 200_000, 300_000], dtype=np.int64)
-        whole = level_fill(bounds, t0s, spans, v0s, dvs, 1.0 / FS, 0, 300_000)
+        whole = level_fill(bounds, times, levels, 1.0 / FS, np.arange(300_000))
         for start, stop in ((0, 300_000), (7919, 15_838), (129_000, 201_000)):
-            part = level_fill(bounds, t0s, spans, v0s, dvs, 1.0 / FS, start, stop)
+            part = level_fill(bounds, times, levels, 1.0 / FS, np.arange(start, stop))
             assert np.array_equal(part, whole[start:stop])
+
+    def test_level_fill_at_some_samples(self):
+        times = np.array([0.0, 0.01, 0.013, 0.013, 0.02])
+        levels = np.array([10.0, 10.0, 130.0, 40.0, 255.0])
+        bounds = np.array([0, 100_000, 130_000, 130_000, 200_000, 300_000], dtype=np.int64)
+        whole = level_fill(bounds, times, levels, 1.0 / FS, np.arange(300_000))
+        idx = np.unique(np.random.default_rng(2).integers(0, 300_000, 5000))
+        idx = np.concatenate(([0], idx, [129_999, 130_000, 299_999]))
+        idx.sort()
+        assert np.array_equal(level_fill(bounds, times, levels, 1.0 / FS, idx), whole[idx])
+        # in place, over float indices
+        values = idx.astype(np.float64)
+        assert level_fill(bounds, times, levels, 1.0 / FS, values, out=values) is values
+        assert np.array_equal(values, whole[idx])
+        assert level_fill(bounds, times, levels, 1.0 / FS, idx[:0]).size == 0
 
     def test_blocks_with_carry(self):
         levels = _wavy_levels()
@@ -45,7 +58,8 @@ class TestStreamedEqualsOnePass:
             y = x[0]
             pwm, wave, low = [], [], []
             for start in range(0, N, block):
-                part, duty = pwm_wave(levels[start:start + block], step, start, duty)
+                part, duty = pwm_wave(levels.__getitem__, step, start,
+                                       min(start + block, N), duty)
                 pwm.append(part)
                 part, phi = square_wave(freq[start:start + block], FS, phi)
                 wave.append(part)
@@ -59,10 +73,26 @@ class TestStreamedEqualsOnePass:
         assert all(np.array_equal(a, b) for a, b in zip(streamed, one_pass))
 
 
+def test_pwm_reads_the_level_at_period_starts_only():
+    levels = _wavy_levels()
+    step = 19_777.0 / FS
+    asked = []
+
+    def level_at(idx):
+        asked.append(idx)
+        return levels[idx]
+
+    for start in range(0, N, 7919):
+        pwm_wave(level_at, step, start, min(start + 7919, N), 0.0)
+    period = np.floor(np.arange(N) * step)
+    starts = np.flatnonzero(np.diff(period)) + 1
+    assert np.array_equal(np.concatenate(asked), np.concatenate(([0], starts)))
+
+
 class TestNumpyKernels:
     def test_pwm_constant_duty(self):
         levels = np.full(50_000, 128.0)
-        wave, _ = pwm_wave(levels, 20_000.0 / FS, 0, 0.0)
+        wave, _ = pwm_wave(levels.__getitem__, 20_000.0 / FS, 0, levels.size, 0.0)
         period = 500
         mean = wave[: (wave.size // period) * period].mean()
         assert abs(mean - 128 / 255) <= 1 / period
@@ -85,7 +115,7 @@ class TestNumpyKernels:
         assert toggles / 2 / (100_000 / FS) == pytest.approx(400_000.0, abs=100)
 
     def test_empty_inputs(self):
-        assert pwm_wave(np.zeros(0), 0.002, 0, 0.0)[0].size == 0
+        assert pwm_wave(np.zeros(0).__getitem__, 0.002, 0, 0, 0.0)[0].size == 0
         assert lowpass(np.zeros(0), 0.5, 0.0).size == 0
         assert square_wave(np.zeros(0), FS, 0.0)[0].size == 0
 
