@@ -8,14 +8,16 @@ The four inner loops that dominate runtime at 10 MS/s all live here:
 * ``square_wave`` -- phase-accumulating oscillator (light-to-frequency output).
 
 The kernels render one block of a longer trace at a time.  ``level_fill``
-and ``pwm_wave`` take absolute sample indices, and ``pwm_wave``, ``lowpass``
-and ``square_wave`` take the state the previous block ended in (latched
-duty, filter output, oscillator phase); ``pwm_wave`` and ``square_wave``
-return their end state with the block.  Rendering a trace block by block
-therefore gives the same bits as one pass over it.
+and ``pwm_wave`` take absolute sample indices and carry no state, and
+``lowpass`` and ``square_wave`` take the state the previous block ended in
+(filter output, oscillator phase); ``square_wave`` returns its end phase
+with the block.  Rendering a trace block by block therefore gives the same
+bits as one pass over it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,34 +50,33 @@ def level_fill(bounds: np.ndarray, times: np.ndarray, levels: np.ndarray, dt: fl
     return out
 
 
-def pwm_wave(level_at, step: float, start: int, stop: int,
-             duty: float) -> tuple[np.ndarray, float]:
+def pwm_wave(level_at, step: float, start: int, stop: int) -> np.ndarray:
     """PWM waveform of samples ``start:stop``.
 
-    ``step = pwm_frequency / sample_rate``.  The duty for each PWM period is
-    latched from the level at the period's first sample (zero-order hold);
+    ``step = pwm_frequency / sample_rate``.  Sample ``i`` sits at phase
+    ``i * step`` PWM periods, computed from the index so long traces do not
+    drift.  Period ``p`` opens at the first sample whose phase reaches ``p``
+    and latches its duty from the level there (zero-order hold); a sample is
+    on while its within-period phase is below its period's duty.
     ``level_at(idx)`` gives the levels at ascending absolute sample indices
-    and is asked, once per call, only for the period starts.  Sample ``i``
-    sits at phase ``i * step`` PWM periods; it is on while the within-period
-    phase is below the duty.  Computing the phase directly from the index
-    keeps long traces drift-free.  ``duty`` is the duty latched by the period
-    open at sample ``start - 1``; the duty latched by the period open at the
-    last sample is returned with the waveform, for the next block.
+    and is asked, once per call, only for openings: those in the block and
+    that of the period open at ``start``, which may lie before it.  So no
+    state crosses a block edge, and no sample before ``start`` is rendered.
     """
-    n = stop - start
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8), duty
-    phase = np.arange(start, stop, dtype=np.float64) * step
-    period = np.floor(phase)
-    frac = phase - period
-    # period indices are non-decreasing, so run starts mark period starts
-    runs = np.concatenate(([0], np.flatnonzero(period[1:] != period[:-1]) + 1))
-    # the first run continues the previous block's period, and keeps its duty,
-    # unless one starts here
-    carried = int(start > 0 and np.floor((start - 1) * step) == period[0])
-    duties = np.concatenate(([duty] * carried, level_at(start + runs[carried:]) / 255.0))
-    counts = np.diff(np.append(runs, n))
-    return (frac < np.repeat(duties, counts)).astype(np.uint8), float(duties[-1])
+    if stop == start:
+        return np.zeros(0, dtype=np.uint8)
+    phase = np.arange(start, stop, dtype=np.float64)
+    phase *= step
+    first, last = math.floor(phase[0]), math.floor(phase[-1])
+    # floor(x) >= p exactly when x >= p: a search of the phases finds each opening
+    opens = np.searchsorted(phase, np.arange(first + 1, last + 1, dtype=np.float64))
+    # the period open at start opened within a sample of ceil(p / step)
+    c = math.ceil(first / step)
+    opened = next(j for j in (c - 1, c, c + 1) if j * step >= first)
+    duties = level_at(np.concatenate(([opened], start + opens))) / 255.0
+    phase -= np.floor(phase)  # the within-period phase, exact
+    counts = np.diff(opens, prepend=0, append=stop - start)
+    return (phase < np.repeat(duties, counts)).view(np.uint8)
 
 
 def lowpass(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:

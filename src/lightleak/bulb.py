@@ -125,21 +125,19 @@ def apply_rate_limit(schedule: CommandSchedule, max_rate: float) -> RateLimited:
 def fade_profile(from_level: int, to_level: int, fade_duration: float, t):
     """Effective level ``t`` seconds after a command, under a linear fade.
 
-    Ramps linearly from ``from_level`` to ``to_level`` over ``fade_duration``;
-    holds ``to_level`` afterwards.  A zero-duration fade switches immediately.
-    Accepts scalar or array ``t``.
+    The level of one command from ``from_level`` to ``to_level`` at time 0,
+    read off the knots the render path lays for it (`_fade_knots`): a linear
+    ramp over ``fade_duration`` that holds ``to_level`` afterwards, so a zero
+    fade is ``to_level`` from t = 0 on.  Accepts scalar or array ``t``.
     """
-    f = float(_check_level(from_level))
-    g = float(_check_level(to_level))
     if fade_duration < 0:
         raise DomainError(f"fade_duration must be >= 0, got {fade_duration}")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise DomainError("t must be >= 0")
-    if fade_duration == 0.0:
-        out = np.full_like(t, g)
-    else:
-        out = f + (g - f) * np.minimum(t / fade_duration, 1.0)
+    schedule = CommandSchedule.from_pairs([(0.0, to_level)], from_level)
+    # interp reads the last knot at a repeated time: a zero fade is to_level at t = 0
+    out = np.interp(t, *_fade_knots(schedule, fade_duration))
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,5 +261,5 @@ def render_pwm(levels: LevelTrace, config: ChannelConfig) -> PwmTrace:
         raise ConfigError(
             f"level trace sample rate {levels.sample_rate} != config sample rate "
             f"{config.sample_rate}")
-    wave, _ = _kernels.pwm_wave(levels.values.__getitem__, pwm_step(config), 0, len(levels), 0.0)
+    wave = _kernels.pwm_wave(levels.values.__getitem__, pwm_step(config), 0, len(levels))
     return PwmTrace(config.sample_rate, wave)

@@ -118,12 +118,13 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
 
     Both halves run on blocks of ``traces.BLOCK_SAMPLES`` samples and carry
     their state across block edges: the level knots and the PWM phase
-    follow the absolute sample index, the PWM period open at the edge keeps
-    its latched duty, one generator draws all the noise, and each tail's
-    low-pass output and oscillator phase carry over.  Each tail's blocks
-    joined are bit for bit its single-pass render, and no stage holds more
-    than a block.  The schedule, duration and PWM resolution are checked
-    here, before the first block is rendered.
+    follow the absolute sample index (PWM period ``p`` latches its duty at
+    the first sample whose phase reaches ``p``, which a block that starts
+    inside the period finds from its index), one generator draws all the
+    noise, and each tail's low-pass output and oscillator phase carry over.
+    Each tail's blocks joined are bit for bit its single-pass render, and no
+    stage holds more than a block.  The schedule, duration and PWM
+    resolution are checked here, before the first block is rendered.
     """
     configs = tuple(configs)
     if len({source_key(config) for config in configs}) != 1:
@@ -140,10 +141,9 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
 def _source(plan: bulb.LevelPlan, step: float,
             rng: np.random.Generator | None) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The transmit half: each block's PWM waveform and standard normals (None without noise)."""
-    duty = 0.0
     for start in range(0, plan.n, traces.BLOCK_SAMPLES):
         stop = min(start + traces.BLOCK_SAMPLES, plan.n)
-        pwm, duty = _kernels.pwm_wave(plan.at, step, start, stop, duty)
+        pwm = _kernels.pwm_wave(plan.at, step, start, stop)
         yield pwm, None if rng is None else rng.standard_normal(stop - start)
 
 

@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
     spec = harness.SweepSpec(
         parameter=args.parameter, values=values, trials=args.trials,
         config=config, alphabet=alphabet, payload=_payload(args),
-        window_length=window, tracker=tracker, seed=args.seed or 0)
+        window_length=window, tracker=tracker, seed=config.rng_seed)
     points = harness.sweep(spec)
     _write(harness.format_sweep_table(spec, points), args.out)
     return EXIT_OK

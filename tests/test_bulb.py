@@ -153,6 +153,23 @@ class TestFadeProfile:
         assert np.allclose(out, [0.0, 50.0, 100.0, 100.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(from_level=st.integers(0, 255), to_level=st.integers(0, 255),
+       fade=st.one_of(st.just(0.0), st.floats(1e-4, 0.02)),
+       sample_rate=st.floats(1_000.0, 200_000.0))
+def test_fade_profile_is_the_rendered_level(from_level, to_level, fade, sample_rate):
+    """At every sample time, t = 0 included, `fade_profile` reads the level
+    `render_level_trace` gives the one-command schedule."""
+    cfg = ChannelConfig(sample_rate=sample_rate, sensor_full_scale_frequency=sample_rate / 4,
+                        fade_duration=fade)
+    sched = CommandSchedule.from_pairs([(0.0, to_level)], from_level)
+    trace = render_level_trace(sched, cfg, fade + 0.005)
+    t = np.arange(len(trace)) * (1.0 / sample_rate)
+    assert np.max(np.abs(fade_profile(from_level, to_level, fade, t) - trace.values)) <= 1e-9
+    assert fade_profile(from_level, to_level, fade, 0.0) == (to_level if fade == 0.0
+                                                              else from_level)
+
+
 class TestRenderLevelTrace:
     CFG = ChannelConfig(sample_rate=100_000.0, pwm_frequency=1000.0,
                         sensor_full_scale_frequency=20_000.0, fade_duration=0.4)

@@ -162,6 +162,23 @@ def test_sweep_table(config_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_seed_from_set_config_or_flag(config_file, tmp_path):
+    """``rng_seed`` seeds the sweep's trials however it is given."""
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(FAST_CONFIG + "rng_seed = 7\n")
+    args = ["sweep", "--parameter", "noise_sigma", "--values", "0.01", "--trials", "2",
+            "--payload-hex", "41"]
+    tables = []
+    for extra in (["--config", config_file, "--set", "rng_seed=7"],
+                  ["--config", str(seeded)],
+                  ["--config", config_file, "--seed", "7"]):
+        out = tmp_path / f"sweep{len(tables)}.txt"
+        assert cli.main(args + extra + ["--out", str(out)]) == cli.EXIT_OK
+        tables.append(out.read_bytes())
+    assert b"seed=7 " in tables[0]
+    assert tables[0] == tables[1] == tables[2]
+
+
 def test_warning_is_one_stderr_line(config_file, tmp_path, capsys):
     # 8192-sample windows cannot settle within 0.75 ms symbols; 1024 ones can
     args = ["sweep", "--parameter", "window_length", "--values", "1024,8192",

@@ -1,5 +1,6 @@
 """The per-sample kernels: their physics, and block-by-block equals one pass."""
 
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lightleak
 from lightleak._kernels import level_fill, lowpass, pwm_wave, square_wave
@@ -54,20 +57,17 @@ class TestStreamedEqualsOnePass:
         step = 19_777.0 / FS
 
         def stream(block):
-            duty = phi = 0.0
+            phi = 0.0
             y = x[0]
             pwm, wave, low = [], [], []
             for start in range(0, N, block):
-                part, duty = pwm_wave(levels.__getitem__, step, start,
-                                       min(start + block, N), duty)
-                pwm.append(part)
+                pwm.append(pwm_wave(levels.__getitem__, step, start, min(start + block, N)))
                 part, phi = square_wave(freq[start:start + block], FS, phi)
                 wave.append(part)
                 part = lowpass(x[start:start + block], 0.04, y)
                 y = part[-1]
                 low.append(part)
-            return (np.concatenate(pwm), np.concatenate(wave), np.concatenate(low),
-                    duty, phi)
+            return np.concatenate(pwm), np.concatenate(wave), np.concatenate(low), phi
 
         streamed, one_pass = stream(7919), stream(N)
         assert all(np.array_equal(a, b) for a, b in zip(streamed, one_pass))
@@ -82,17 +82,78 @@ def test_pwm_reads_the_level_at_period_starts_only():
         asked.append(idx)
         return levels[idx]
 
-    for start in range(0, N, 7919):
-        pwm_wave(level_at, step, start, min(start + 7919, N), 0.0)
+    starts = range(0, N, 7919)
+    for start in starts:
+        pwm_wave(level_at, step, start, min(start + 7919, N))
     period = np.floor(np.arange(N) * step)
-    starts = np.flatnonzero(np.diff(period)) + 1
-    assert np.array_equal(np.concatenate(asked), np.concatenate(([0], starts)))
+    openings = np.concatenate(([0], np.flatnonzero(np.diff(period)) + 1))
+    # every index asked is an opening, and every opening is asked
+    assert np.array_equal(np.unique(np.concatenate(asked)), openings)
+    # a call asks again only for the opening of the period open at its start
+    seen = set()
+    for start, idx in zip(starts, asked):
+        again = [i for i in idx.tolist() if i in seen]
+        assert again in ([], [openings[openings <= start][-1]])
+        assert idx.size == np.unique(idx).size
+        seen.update(idx.tolist())
+
+
+def _opening(step, i):
+    """The first sample ``j`` with ``floor(j * step) >= floor(i * step)``, by bisection."""
+    p = math.floor(i * step)
+    lo, hi = 0, i
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.floor(mid * step) >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _pwm_reference(level, step, start, stop):
+    """Per-sample PWM: on while the phase's fraction is below the level at
+    the opening of its period, over 255."""
+    wave = np.zeros(stop - start, dtype=np.uint8)
+    for i in range(start, stop):
+        phase = i * step
+        wave[i - start] = phase - math.floor(phase) < level(_opening(step, i)) / 255.0
+    return wave
+
+
+# steps of 1e-9 to 1e-2 PWM periods a sample; starts near 2**52 are where the
+# opening of the period open at a block's start is one sample off ceil(p / step)
+@settings(max_examples=100, deadline=None)
+@given(step=st.floats(-9, -2).map(lambda e: 10 ** e),
+       start=st.one_of(st.integers(0, 2 ** 20), st.integers(2 ** 44, 2 ** 52)),
+       blocks=st.lists(st.integers(1, 400), min_size=1, max_size=4), salt=st.integers(0, 255))
+def test_pwm_streamed_equals_per_sample_reference(step, start, blocks, salt):
+    def level(i):
+        return float((i % 65_521 * 31 + salt) % 256)
+
+    def level_at(idx):
+        return np.array([level(i) for i in idx.tolist()])
+
+    edges = np.cumsum([start, *blocks]).tolist()
+    streamed = np.concatenate([pwm_wave(level_at, step, a, b) for a, b in zip(edges, edges[1:])])
+    assert np.array_equal(streamed, _pwm_reference(level, step, start, edges[-1]))
+
+
+def test_pwm_finds_the_opening_before_a_block():
+    """The first level a block asks for is at the opening of the period open
+    at its start, however float rounding places it around p / step."""
+    rng = np.random.default_rng(4)
+    for step, start in zip(10 ** rng.uniform(-9, -2, 3000), rng.integers(2 ** 44, 2 ** 52, 3000)):
+        asked = []
+        pwm_wave(lambda idx: asked.append(idx) or np.zeros(idx.size), step, int(start),
+                 int(start) + 1)
+        assert asked[0][0] == _opening(step, int(start))
 
 
 class TestNumpyKernels:
     def test_pwm_constant_duty(self):
         levels = np.full(50_000, 128.0)
-        wave, _ = pwm_wave(levels.__getitem__, 20_000.0 / FS, 0, levels.size, 0.0)
+        wave = pwm_wave(levels.__getitem__, 20_000.0 / FS, 0, levels.size)
         period = 500
         mean = wave[: (wave.size // period) * period].mean()
         assert abs(mean - 128 / 255) <= 1 / period
@@ -115,7 +176,7 @@ class TestNumpyKernels:
         assert toggles / 2 / (100_000 / FS) == pytest.approx(400_000.0, abs=100)
 
     def test_empty_inputs(self):
-        assert pwm_wave(np.zeros(0).__getitem__, 0.002, 0, 0, 0.0)[0].size == 0
+        assert pwm_wave(np.zeros(0).__getitem__, 0.002, 0, 0).size == 0
         assert lowpass(np.zeros(0), 0.5, 0.0).size == 0
         assert square_wave(np.zeros(0), FS, 0.0)[0].size == 0
 
