@@ -130,10 +130,10 @@ def fade_profile(from_level: int, to_level: int, fade_duration: float, t):
     ramp over ``fade_duration`` that holds ``to_level`` afterwards, so a zero
     fade is ``to_level`` from t = 0 on.  Accepts scalar or array ``t``.
     """
-    if fade_duration < 0:
+    if not fade_duration >= 0:  # NaN fails the comparison too
         raise DomainError(f"fade_duration must be >= 0, got {fade_duration}")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise DomainError("t must be >= 0")
     schedule = CommandSchedule.from_pairs([(0.0, to_level)], from_level)
     # interp reads the last knot at a repeated time: a zero fade is to_level at t = 0

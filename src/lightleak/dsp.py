@@ -8,12 +8,20 @@ interpolation; an independent zero-crossing tracker provides a time-domain
 cross-check.  Each tracker is one batch function, listed in `TRACKERS` with
 its confidence floor, from a batch's frames and the receiver's Hann window
 (built at the first batch) to their frequencies and confidences.  One framer
-cuts a stream, pushed one block at a time, into batches of frames and runs a
-tracker (or, in `stft`, the spectrogram fill) on each as soon as it is
-complete, so a long capture never has to be held whole, and one stream can
-feed several receivers in lockstep.  A stream yields one block per tail at
-each step, as `channel.link_blocks` does (a trace or an array is one tail);
-a receiver is a ``(tail, window_length, hop)`` triple.
+cuts a stream, pushed one block at a time, into batches of frames and hands
+each, as soon as it is complete, to a tracker (or, in `stft`, the
+spectrogram fill), so a long capture never has to be held whole, and one
+stream can feed several receivers in lockstep.  A stream yields one block
+per tail at each step, as `channel.link_blocks` does (a trace or an array is
+one tail); a receiver is a ``(tail, window_length, hop)`` triple.
+
+`track_all` and `stft` run the batches on one worker thread, opened for the
+call and joined on its every exit, while the calling thread draws (for a
+link: renders) the next blocks; the heavy numpy and scipy calls of both
+sides release the GIL.  Only private functions run on the worker, so every
+public function stays on the calling thread.  Each receiver has at most one
+batch in flight, and each frame's results depend on that frame alone, so
+the output is bit for bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -29,6 +37,7 @@ from __future__ import annotations
 import functools
 import numbers
 from collections.abc import Iterable, Iterator
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +49,7 @@ from .traces import SensorTrace
 
 #: frames per STFT batch (fewer when the hop is longer than the window, see
 #: `_Framer`); batches always start at a multiple of the batch size
-_STFT_BLOCK = 512
+_STFT_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,31 +117,36 @@ def check_framing(window_length: int, hop: int) -> None:
 
 
 class _Framer:
-    """Cuts a pushed stream of sample blocks into batches of frames.
+    """Cuts a pushed stream of sample blocks into batches of frames, and
+    tracks each batch on a worker thread while the next one arrives.
 
     Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
     frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one), whatever the
     block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
     ``_STFT_BLOCK * window_length // hop`` (at least 1) when the hop is
     longer than the window, so a batch never spans more samples than
-    ``_STFT_BLOCK`` windows.  `push` calls ``fn(frames, window)`` on
-    each batch as soon as its last sample arrives, with the receiver's Hann
-    window (built then, at the first batch), and keeps only the samples that
+    ``_STFT_BLOCK`` windows.  As soon as a batch's last sample arrives,
+    `push` builds the receiver's Hann window on the calling thread (at the
+    first batch), waits for the previous batch, and submits
+    ``fn(frames, window)`` to ``worker``, a one-thread executor; so at most
+    one batch of the receiver is in flight.  It keeps only the samples that
     later frames still need, so memory does not grow with the stream.
+    ``fn`` must call no public function: those stay on the calling thread.
     `close` runs ``fn`` on the last, shorter batch and returns what it gave
-    for every batch, in order; it raises `DomainError`, and builds no
-    window, if the stream ended before one full window.
+    for every batch, in order, or re-raises the first error a batch raised;
+    it raises `DomainError`, and builds no window, if the stream ended
+    before one full window.
     """
 
-    def __init__(self, window_length: int, hop: int, fn):
+    def __init__(self, window_length: int, hop: int, fn, worker: Executor):
         check_framing(window_length, hop)
-        self.window_length, self.hop, self._fn = window_length, hop, fn
+        self.window_length, self.hop, self._fn, self._worker = window_length, hop, fn, worker
         self._window = None
         frames = min(_STFT_BLOCK, max(1, _STFT_BLOCK * window_length // hop))
         self._span = (frames - 1) * hop + window_length  # samples of a full batch
         self._step = frames * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
-        self._results = []
+        self._results, self._busy, self._error = [], None, None
 
     def push(self, block: np.ndarray) -> None:
         self._seen += block.size
@@ -158,14 +172,29 @@ class _Framer:
                               f"need at least one window ({self.window_length})")
         if self._held >= self.window_length:
             self._run(np.concatenate(self._pending))
+        self._wait()
+        if self._error is not None:
+            raise self._error
         results, self._results = self._results, []  # the caller's alone, to free as it goes
         return results
 
     def _run(self, segment: np.ndarray) -> None:
         if self._window is None:
             self._window = hann_window(self.window_length)
-        frames = sliding_window_view(segment, self.window_length)[::self.hop]
-        self._results.append(self._fn(frames, self._window))
+        self._wait()
+        if self._error is None:  # after an error the later batches are not tracked
+            frames = sliding_window_view(segment, self.window_length)[::self.hop]
+            self._busy = self._worker.submit(self._fn, frames, self._window)
+
+    def _wait(self) -> None:
+        """Collect the batch in flight, if any, or the error it raised."""
+        busy, self._busy = self._busy, None
+        if busy is None:
+            return
+        try:
+            self._results.append(busy.result())
+        except Exception as exc:  # `close` re-raises it
+            self._error = exc
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
@@ -222,17 +251,18 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         mags[filled:filled + batch.shape[0]] = batch
         filled += batch.shape[0]
 
-    framer = _Framer(window_length, hop, fill)
-    values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
-    shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
-    try:
-        mags = np.empty(shape, dtype=_work_dtype(values.dtype))
-    except (MemoryError, ValueError):  # numpy refuses a size it cannot address
-        raise ConfigError(f"a spectrogram of {shape[0]} frames of {shape[1]} bins does "
-                          "not fit in memory; use a longer hop") from None
-    for block, in steps:
-        framer.push(block)
-    framer.close()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        framer = _Framer(window_length, hop, fill, worker)
+        values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
+        shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
+        try:
+            mags = np.empty(shape, dtype=_work_dtype(values.dtype))
+        except (MemoryError, ValueError):  # numpy refuses a size it cannot address
+            raise ConfigError(f"a spectrogram of {shape[0]} frames of {shape[1]} bins "
+                              "does not fit in memory; use a longer hop") from None
+        for block, in steps:
+            framer.push(block)
+        framer.close()
     times = _frame_times(mags.shape[0], window_length, hop, fs)
     return Spectrogram(window_length, hop, fs, mags, times)
 
@@ -322,18 +352,22 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     that runs the ``TRACKERS[tracker]`` batch function on each batch of its
     frames and its window, built at its first batch.  Every step goes to
     every receiver before the next step is drawn, so the stream is produced
-    once and each receiver keeps at most one batch of its frames.  Returns,
-    per receiver and in receiver order, its `FrequencyTrack` or the
-    `DomainError` it ended with (a stream shorter than its window, which
-    then never builds its window).
+    once and each receiver keeps at most one batch of its frames in flight
+    on the worker thread.  Returns, per receiver and in receiver order, its
+    `FrequencyTrack` or the `DomainError` it ended with (a stream shorter
+    than its window, which then never builds its window, or the first
+    `DomainError` one of its batches raised).  An error of the stream itself
+    is raised, once the worker has finished.
     """
     steps, fs = _as_stream(samples, sample_rate)
     fn = functools.partial(TRACKERS[tracker][0], sample_rate=fs)
-    framers = [(tail, _Framer(window_length, hop, fn)) for tail, window_length, hop in receivers]
-    for step in steps:
-        for tail, framer in framers:
-            framer.push(step[tail])
-    return [_finish(framer, fs) for _, framer in framers]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        framers = [(tail, _Framer(window_length, hop, fn, worker))
+                   for tail, window_length, hop in receivers]
+        for step in steps:
+            for tail, framer in framers:
+                framer.push(step[tail])
+        return [_finish(framer, fs) for _, framer in framers]
 
 
 def _finish(framer: _Framer, sample_rate: float) -> FrequencyTrack | DomainError:

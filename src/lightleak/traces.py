@@ -81,7 +81,7 @@ class SensorTrace(_Trace):
 
 
 #: samples per block when a trace is rendered or received as a stream
-BLOCK_SAMPLES = 1 << 16
+BLOCK_SAMPLES = 1 << 15
 
 
 def blocks(values: np.ndarray) -> Iterator[np.ndarray]:

@@ -1,10 +1,12 @@
-"""Shared oracles and scenario helpers.
+"""Shared oracles, scenario helpers, and a guard against leaked threads.
 
 The oracles here are deliberately independent of the package code paths they
 check: frequency is measured by counting toggles, and test tones are
 synthesised directly from closed-form phase rather than through the sensor
 model.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -42,3 +44,13 @@ def fast_link():
     )
     alphabet = ll.SymbolAlphabet(symbol_period=0.003)
     return config, alphabet
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a non-daemon thread alive that was not there before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    if left:
+        pytest.fail(f"the test left threads running: {', '.join(left)}")

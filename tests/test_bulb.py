@@ -152,6 +152,14 @@ class TestFadeProfile:
         out = fade_profile(0, 100, 0.4, t)
         assert np.allclose(out, [0.0, 50.0, 100.0, 100.0])
 
+    @pytest.mark.parametrize("fade, t", [
+        (-0.1, 0.1), (float("nan"), 0.1),
+        (0.4, -0.1), (0.4, float("nan")), (0.4, np.array([0.0, np.nan, 0.2])),
+    ])
+    def test_negative_or_nan_fade_or_time(self, fade, t):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            fade_profile(10, 200, fade, t)
+
 
 @settings(max_examples=60, deadline=None)
 @given(from_level=st.integers(0, 255), to_level=st.integers(0, 255),

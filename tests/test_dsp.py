@@ -1,6 +1,8 @@
 """STFT, dominant-frequency tracking, and the zero-crossing cross-check."""
 
+import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,7 @@ from lightleak import (
     zero_crossing_frequency,
 )
 from lightleak import channel, dsp, traces
-from lightleak.errors import DomainError
+from lightleak.errors import ConfigError, DomainError
 
 FS = 10_000_000.0
 
@@ -303,6 +305,23 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
     assert np.allclose(track.confidences, want[:, 1], rtol=0.0, atol=1e-12)
 
 
+class _LazyWorker:
+    """An executor that runs a batch only when the framer collects it, and
+    keeps the most batches that were submitted and not yet collected."""
+
+    def __init__(self):
+        self.in_flight = self.most_in_flight = 0
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        return SimpleNamespace(result=lambda: self._collect(fn, args))
+
+    def _collect(self, fn, args):
+        self.in_flight -= 1
+        return fn(*args)
+
+
 def _tracks_equal(a, b):
     return (np.array_equal(a.frame_times, b.frame_times)
             and np.array_equal(a.frequencies, b.frequencies)
@@ -363,13 +382,54 @@ class TestBlockEdges:
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
-        framer = dsp._Framer(window, hop, lambda frames, _: frames)
+        worker = _LazyWorker()
+        framer = dsp._Framer(window, hop, lambda frames, _: frames, worker)
         for block in traces.blocks(x):
             framer.push(block)
         frames = framer.close()
+        assert worker.most_in_flight == 1
         k = min(3, max(1, 3 * window // hop))  # hops past the window cut the batch
         assert [f.shape[0] for f in frames[:-1]] == [k] * (len(frames) - 1)
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
+
+    # several receivers, so several batches in flight on the one worker at once
+    @pytest.mark.parametrize("tracker", sorted(dsp.TRACKERS))
+    def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker):
+        monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
+        x = np.random.default_rng(3).integers(0, 2, 3000, dtype=np.uint8)
+        receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
+        got = dsp.track_all(x, receivers, tracker, FS)
+        fn, _ = dsp.TRACKERS[tracker]
+        for (_, window, hop), track in zip(receivers, got, strict=True):
+            frames = sliding_window_view(x, window)[::hop]
+            k = min(3, max(1, 3 * window // hop))
+            freqs, confs = zip(*(fn(frames[i:i + k], hann_window(window), FS)
+                                 for i in range(0, frames.shape[0], k)))
+            assert np.array_equal(track.frequencies, np.concatenate(freqs))
+            assert np.array_equal(track.confidences, np.concatenate(confs))
+            assert np.array_equal(track.frame_times,
+                                  dsp._frame_times(frames.shape[0], window, hop, FS))
+
+    def test_a_stream_error_joins_the_worker(self, monkeypatch):
+        track, floor = dsp.TRACKERS["stft"]
+        workers = set()
+
+        def recorded(frames, window, sample_rate):
+            workers.add(threading.get_ident())
+            return track(frames, window, sample_rate)
+
+        def stream():
+            for k in range(3):
+                yield ((np.arange(k * 5000, (k + 1) * 5000) // 7 % 2).astype(np.uint8),)
+            raise ConfigError("the stream broke")
+
+        monkeypatch.setitem(dsp.TRACKERS, "stft", (recorded, floor))
+        threads = threading.active_count()
+        with pytest.raises(ConfigError, match="the stream broke"):
+            dsp.track_all(stream(), [(0, 64, 32), (0, 128, 64)], sample_rate=FS)
+        assert threading.active_count() == threads
+        assert workers and threading.get_ident() not in workers
 
     def test_long_hop_holds_no_more_than_a_short_one(self):
         def peak(hop):

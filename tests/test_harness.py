@@ -1,5 +1,8 @@
 """Pipeline orchestration, sweeps, and the on-disk formats."""
 
+import collections
+import inspect
+import threading
 import tracemalloc
 import warnings
 
@@ -392,6 +395,67 @@ class TestReceiveAll:
         assert (good.decode_errors, good.mean_ber) == (0, 0.0)
         assert [(p.decode_errors, p.mean_ber) for p in too_long] == [(2, 1.0)] * 2
         assert set(built) == {4096}
+
+    def test_a_batch_error_is_its_receivers_own(self, fast_link, monkeypatch):
+        track, floor = dsp.TRACKERS["stft"]
+        batches = collections.Counter()
+
+        def flaky(frames, window, sample_rate):  # the 2048 window fails its second batch
+            batches[window.size] += 1
+            if window.size == 2048 and batches[2048] == 2:
+                raise DomainError("the second batch failed")
+            return track(frames, window, sample_rate)
+
+        monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor))
+        config, alphabet = fast_link
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        steps = channel.link_blocks(schedule, [config], duration)
+        ok, bad, also_ok = harness.receive_all(
+            steps, alphabet, [(0, 4096, 2048), (0, 2048, 1024), (0, 4096, 1024)],
+            reference=b"\x41", sample_rate=config.sample_rate)
+        assert ok.ber == 0.0 and also_ok.ber == 0.0
+        assert isinstance(bad, DomainError) and bad.stage == "track"
+        assert str(bad) == "the second batch failed"
+        assert batches[2048] == 2  # no later batch of that receiver is tracked
+        assert batches[4096] > 4
+
+
+def _record_threads(monkeypatch, idents: list) -> None:
+    """Wrap every public function of the link's and the receiver's modules
+    so that it records the thread that calls it."""
+    def recorded(fn):
+        def call(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (bulb, channel, _kernels, dsp, codec):
+        for name, fn in list(vars(module).items()):
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                monkeypatch.setattr(module, name, recorded(fn))
+
+
+def test_public_functions_run_on_the_calling_thread(fast_link, monkeypatch):
+    public, batches = [], []
+    _record_threads(monkeypatch, public)
+    spectra = dsp._spectra
+
+    def recorded(frames, window):
+        batches.append(threading.get_ident())
+        return spectra(frames, window)
+
+    monkeypatch.setattr(dsp, "_spectra", recorded)
+    config, alphabet = fast_link
+    assert ll.run_end_to_end(config, alphabet, b"\x41").report.ber == 0.0
+    assert len(batches) > 1
+    schedule, duration = harness.transmit(config, alphabet, b"\x5a")
+    steps = channel.link_blocks(schedule, [config, config.replace(distance=0.4)], duration)
+    tracks = dsp.track_all(steps, [(0, 4096, 2048), (1, 2048, 1024)],
+                           sample_rate=config.sample_rate)
+    assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
+    assert set(public) == {threading.get_ident()}
+    assert threading.get_ident() not in batches  # the batches ran on the worker
 
 
 class TestSweep:
