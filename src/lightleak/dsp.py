@@ -15,13 +15,18 @@ stream can feed several receivers in lockstep.  A stream yields one block
 per tail at each step, as `channel.link_blocks` does (a trace or an array is
 one tail); a receiver is a ``(tail, window_length, hop)`` triple.
 
-`track_all` and `stft` run the batches on one worker thread, opened for the
-call and joined on its every exit, while the calling thread draws (for a
-link: renders) the next blocks; the heavy numpy and scipy calls of both
-sides release the GIL.  Only private functions run on the worker, so every
-public function stays on the calling thread.  Each receiver has at most one
-batch in flight, and each frame's results depend on that frame alone, so
-the output is bit for bit that of a serial run.
+`track_all` and `stft` open one worker thread for the call, joined on its
+every exit, that takes the magnitude spectra of one batch at a time
+(`_SpectraWorker`) while the calling thread draws (for a link: renders) the
+next blocks; the FFT and numpy's large loops release the GIL.  Everything
+else, every public function and the peak search included, runs on the
+calling thread, so the worker takes the GIL only between its few large
+calls and the two threads seldom wait on each other.  A batch goes to the
+worker only if it is free, else its spectra are taken on the calling
+thread; the last batch of a receiver always is, as nothing is left to
+overlap it with.  Each receiver has at most one batch in flight, and each
+frame's results depend on that frame alone, so the output is bit for bit
+that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -49,7 +54,7 @@ from .traces import SensorTrace
 
 #: frames per STFT batch (fewer when the hop is longer than the window, see
 #: `_Framer`); batches always start at a multiple of the batch size
-_STFT_BLOCK = 128
+_STFT_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +123,7 @@ def check_framing(window_length: int, hop: int) -> None:
 
 class _Framer:
     """Cuts a pushed stream of sample blocks into batches of frames, and
-    tracks each batch on a worker thread while the next one arrives.
+    hands each batch's spectra to a worker thread while the next one arrives.
 
     Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
     frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one), whatever the
@@ -126,19 +131,20 @@ class _Framer:
     ``_STFT_BLOCK * window_length // hop`` (at least 1) when the hop is
     longer than the window, so a batch never spans more samples than
     ``_STFT_BLOCK`` windows.  As soon as a batch's last sample arrives,
-    `push` builds the receiver's Hann window on the calling thread (at the
-    first batch), waits for the previous batch, and submits
-    ``fn(frames, window)`` to ``worker``, a one-thread executor; so at most
-    one batch of the receiver is in flight.  It keeps only the samples that
-    later frames still need, so memory does not grow with the stream.
-    ``fn`` must call no public function: those stay on the calling thread.
-    `close` runs ``fn`` on the last, shorter batch and returns what it gave
-    for every batch, in order, or re-raises the first error a batch raised;
-    it raises `DomainError`, and builds no window, if the stream ended
-    before one full window.
+    `push` builds the receiver's Hann window (at the first batch), collects
+    the previous batch and calls ``fn(frames, window, spectra)``, which
+    passes the frames and window to ``spectra`` and returns a function that
+    gives the batch's result; so at most one batch of the receiver is in
+    flight.  ``spectra`` is ``worker.start`` if the worker is free, else
+    `_spectra_here`, and a batch done here is collected at once, so that
+    its spectra are freed.  It keeps only the samples that later frames
+    still need, so memory does not grow with the stream.  `close` runs the
+    last, shorter batch here and returns what every batch gave, in order,
+    or re-raises the first error a batch raised; it raises `DomainError`,
+    and builds no window, if the stream ended before one full window.
     """
 
-    def __init__(self, window_length: int, hop: int, fn, worker: Executor):
+    def __init__(self, window_length: int, hop: int, fn, worker: _SpectraWorker):
         check_framing(window_length, hop)
         self.window_length, self.hop, self._fn, self._worker = window_length, hop, fn, worker
         self._window = None
@@ -171,28 +177,36 @@ class _Framer:
             raise DomainError(f"input has {self._seen} samples, "
                               f"need at least one window ({self.window_length})")
         if self._held >= self.window_length:
-            self._run(np.concatenate(self._pending))
-        self._wait()
+            self._run(np.concatenate(self._pending), last=True)
+        self._collect()
         if self._error is not None:
             raise self._error
         results, self._results = self._results, []  # the caller's alone, to free as it goes
         return results
 
-    def _run(self, segment: np.ndarray) -> None:
+    def _run(self, segment: np.ndarray, last: bool = False) -> None:
         if self._window is None:
             self._window = hann_window(self.window_length)
-        self._wait()
-        if self._error is None:  # after an error the later batches are not tracked
-            frames = sliding_window_view(segment, self.window_length)[::self.hop]
-            self._busy = self._worker.submit(self._fn, frames, self._window)
+        self._collect()
+        if self._error is not None:  # after an error the later batches are not tracked
+            return
+        frames = sliding_window_view(segment, self.window_length)[::self.hop]
+        here = last or not self._worker.free()
+        try:
+            self._busy = self._fn(frames, self._window,
+                                  _spectra_here if here else self._worker.start)
+        except Exception as exc:  # `close` re-raises it
+            self._error = exc
+        if here:  # done already: keep its result, not its spectra
+            self._collect()
 
-    def _wait(self) -> None:
+    def _collect(self) -> None:
         """Collect the batch in flight, if any, or the error it raised."""
         busy, self._busy = self._busy, None
         if busy is None:
             return
         try:
-            self._results.append(busy.result())
+            self._results.append(busy())
         except Exception as exc:  # `close` re-raises it
             self._error = exc
 
@@ -227,6 +241,28 @@ def _spectra(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.abs(spectra)
 
 
+def _spectra_here(frames: np.ndarray, window: np.ndarray):
+    """`_spectra` on the calling thread, as a function that gives them."""
+    mags = _spectra(frames, window)
+    return lambda: mags
+
+
+class _SpectraWorker:
+    """The worker thread of one call, computing one batch's spectra at a time."""
+
+    def __init__(self, executor: Executor):
+        self._executor, self._busy = executor, None
+
+    def free(self) -> bool:
+        """Whether the spectra it was last given are done."""
+        return self._busy is None or self._busy.done()
+
+    def start(self, frames: np.ndarray, window: np.ndarray):
+        """Start `_spectra` on the worker; returns a function that waits for them."""
+        self._busy = self._executor.submit(_spectra, frames, window)
+        return self._busy.result
+
+
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
     """Short-time Fourier transform with per-frame mean removal and Hann window.
 
@@ -245,14 +281,18 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
     steps, fs = _as_stream(samples, sample_rate)
     filled = 0
 
-    def fill(frames, window):
+    def fill(frames, window, spectra):
         nonlocal filled
-        batch = _spectra(frames, window)
-        mags[filled:filled + batch.shape[0]] = batch
-        filled += batch.shape[0]
+        rows = slice(filled, filled + frames.shape[0])
+        filled = rows.stop
+        batch = spectra(frames, window)
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        framer = _Framer(window_length, hop, fill, worker)
+        def store():
+            mags[rows] = batch()
+        return store
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        framer = _Framer(window_length, hop, fill, _SpectraWorker(executor))
         values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
         shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
         try:
@@ -303,17 +343,18 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def _track_stft(frames: np.ndarray, window: np.ndarray,
-                sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+def _track_stft(frames: np.ndarray, window: np.ndarray, spectra, sample_rate: float):
     """``dominant_frequency(stft(...))`` of one batch of frames, from its spectra alone."""
-    return _peaks(_spectra(frames, window), sample_rate / window.size)
+    mags = spectra(frames, window)
+    return lambda: _peaks(mags(), sample_rate / window.size)
 
 
-def _track_zero_crossing(frames: np.ndarray, window: np.ndarray,
-                         sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+def _track_zero_crossing(frames: np.ndarray, window: np.ndarray, spectra,
+                         sample_rate: float):
     """Time-domain frequency of one batch of frames: rising-edge counting.
 
-    Only the window's length counts: the frames are not weighted.  Frequency
+    Only the window's length counts: the frames are not weighted, and no
+    spectra are taken, so the batch runs on the calling thread.  Frequency
     is the number of rising edges (crossings of the frame's min/max
     midpoint) divided by the window duration.  Confidence is
     ``1 - var(gaps)/mean(gap)^2``, that is ``1 - (k*S2 - S1^2)/S1^2`` over
@@ -332,13 +373,15 @@ def _track_zero_crossing(frames: np.ndarray, window: np.ndarray,
     ok = edges >= 2
     ratio = np.divide((edges - 1) * s2 - s1 * s1, s1 * s1, out=np.ones(n), where=ok)
     freqs = np.where(ok, edges / (window.size / sample_rate), 0.0)
-    return freqs, np.clip(1.0 - ratio, 0.0, 1.0)
+    result = freqs, np.clip(1.0 - ratio, 0.0, 1.0)
+    return lambda: result
 
 
 #: tracker name -> (batch function, confidence floor below which a slot is erased);
-#: the function maps one batch's frames, the receiver's Hann window (built at
-#: its first batch) and the sample rate to the frames' frequencies and
-#: confidences (zero-crossing's lie in [0, 1])
+#: the function takes one batch's frames, the receiver's Hann window (built at
+#: its first batch), a function that starts `_spectra` of frames and window
+#: (see `_Framer`) and the sample rate, and returns a function that gives the
+#: frames' frequencies and confidences (zero-crossing's lie in [0, 1])
 TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 
@@ -361,7 +404,8 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     """
     steps, fs = _as_stream(samples, sample_rate)
     fn = functools.partial(TRACKERS[tracker][0], sample_rate=fs)
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        worker = _SpectraWorker(executor)
         framers = [(tail, _Framer(window_length, hop, fn, worker))
                    for tail, window_length, hop in receivers]
         for step in steps:

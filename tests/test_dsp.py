@@ -306,20 +306,24 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
 
 
 class _LazyWorker:
-    """An executor that runs a batch only when the framer collects it, and
-    keeps the most batches that were submitted and not yet collected."""
+    """A `dsp._SpectraWorker` that is always free and takes a batch's spectra
+    only when the framer collects it; it keeps the most batches that were
+    started and not yet collected."""
 
     def __init__(self):
         self.in_flight = self.most_in_flight = 0
 
-    def submit(self, fn, *args):
+    def free(self):
+        return True
+
+    def start(self, frames, window):
         self.in_flight += 1
         self.most_in_flight = max(self.most_in_flight, self.in_flight)
-        return SimpleNamespace(result=lambda: self._collect(fn, args))
+        return lambda: self._collect(frames, window)
 
-    def _collect(self, fn, args):
+    def _collect(self, frames, window):
         self.in_flight -= 1
-        return fn(*args)
+        return dsp._spectra(frames, window)
 
 
 def _tracks_equal(a, b):
@@ -382,8 +386,16 @@ class TestBlockEdges:
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
+        def batch(frames, window, spectra):
+            started = spectra(frames, window)
+
+            def collect():
+                started()
+                return frames
+            return collect
+
         worker = _LazyWorker()
-        framer = dsp._Framer(window, hop, lambda frames, _: frames, worker)
+        framer = dsp._Framer(window, hop, batch, worker)
         for block in traces.blocks(x):
             framer.push(block)
         frames = framer.close()
@@ -392,7 +404,7 @@ class TestBlockEdges:
         assert [f.shape[0] for f in frames[:-1]] == [k] * (len(frames) - 1)
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
 
-    # several receivers, so several batches in flight on the one worker at once
+    # several receivers, so several batches in flight beside the one worker
     @pytest.mark.parametrize("tracker", sorted(dsp.TRACKERS))
     def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker):
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
@@ -404,7 +416,7 @@ class TestBlockEdges:
         for (_, window, hop), track in zip(receivers, got, strict=True):
             frames = sliding_window_view(x, window)[::hop]
             k = min(3, max(1, 3 * window // hop))
-            freqs, confs = zip(*(fn(frames[i:i + k], hann_window(window), FS)
+            freqs, confs = zip(*(fn(frames[i:i + k], hann_window(window), dsp._spectra_here, FS)()
                                  for i in range(0, frames.shape[0], k)))
             assert np.array_equal(track.frequencies, np.concatenate(freqs))
             assert np.array_equal(track.confidences, np.concatenate(confs))
@@ -412,24 +424,24 @@ class TestBlockEdges:
                                   dsp._frame_times(frames.shape[0], window, hop, FS))
 
     def test_a_stream_error_joins_the_worker(self, monkeypatch):
-        track, floor = dsp.TRACKERS["stft"]
+        spectra = dsp._spectra
         workers = set()
 
-        def recorded(frames, window, sample_rate):
+        def recorded(frames, window):
             workers.add(threading.get_ident())
-            return track(frames, window, sample_rate)
+            return spectra(frames, window)
 
         def stream():
             for k in range(3):
                 yield ((np.arange(k * 5000, (k + 1) * 5000) // 7 % 2).astype(np.uint8),)
             raise ConfigError("the stream broke")
 
-        monkeypatch.setitem(dsp.TRACKERS, "stft", (recorded, floor))
+        monkeypatch.setattr(dsp, "_spectra", recorded)
         threads = threading.active_count()
         with pytest.raises(ConfigError, match="the stream broke"):
             dsp.track_all(stream(), [(0, 64, 32), (0, 128, 64)], sample_rate=FS)
         assert threading.active_count() == threads
-        assert workers and threading.get_ident() not in workers
+        assert workers - {threading.get_ident()}  # a batch's spectra ran on the worker
 
     def test_long_hop_holds_no_more_than_a_short_one(self):
         def peak(hop):
