@@ -6,27 +6,27 @@ component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
 cross-check.  Each tracker is one batch function, listed in `TRACKERS` with
-its confidence floor, from a batch's frames and the receiver's Hann window
-(built at the first batch) to their frequencies and confidences.  One framer
-cuts a stream, pushed one block at a time, into batches of frames and hands
-each, as soon as it is complete, to a tracker (or, in `stft`, the
-spectrogram fill), so a long capture never has to be held whole, and one
-stream can feed several receivers in lockstep.  A stream yields one block
-per tail at each step, as `channel.link_blocks` does (a trace or an array is
-one tail); a receiver is a ``(tail, window_length, hop)`` triple.
+its confidence floor, from a batch's magnitude spectra (or, for the
+zero-crossing tracker, its frames) to their frequencies and confidences.  A
+framer cuts a stream, pushed one block at a time, into batches of frames, so
+a long capture never has to be held whole, and one receive loop
+(`_receive`) feeds a stream to several receivers in lockstep and hands each
+batch, as soon as it is complete, to a tracker (or, in `stft`, the
+spectrogram fill).  A stream yields one block per tail at each step, as
+`channel.link_blocks` does (a trace or an array is one tail); a receiver is
+a ``(tail, window_length, hop)`` triple.
 
-`track_all` and `stft` open one worker thread for the call, joined on its
-every exit, that takes the magnitude spectra of one batch at a time
-(`_SpectraWorker`) while the calling thread draws (for a link: renders) the
-next blocks; the FFT and numpy's large loops release the GIL.  Everything
-else, every public function and the peak search included, runs on the
-calling thread, so the worker takes the GIL only between its few large
-calls and the two threads seldom wait on each other.  A batch goes to the
-worker only if it is free, else its spectra are taken on the calling
-thread; the last batch of a receiver always is, as nothing is left to
-overlap it with.  Each receiver has at most one batch in flight, and each
-frame's results depend on that frame alone, so the output is bit for bit
-that of a serial run.
+The receive loop opens one worker thread for the call, joined on its every
+exit, that takes the magnitude spectra of one batch at a time while the
+calling thread draws (for a link: renders) the next blocks; the FFT and
+numpy's large loops release the GIL.  Everything else, every public function
+and the peak search included, runs on the calling thread, so the worker
+takes the GIL only between its few large calls and the two threads seldom
+wait on each other.  A batch goes to the worker only if it is idle, else its
+spectra are taken on the calling thread; a receiver's last batch always is,
+as nothing is left to overlap it with.  At most two batches of spectra are
+alive at once, and each frame's results depend on that frame alone, so the
+output is bit for bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -39,10 +39,9 @@ largest.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +102,10 @@ def _as_stream(samples, sample_rate) -> tuple[Iterable[tuple[np.ndarray, ...]], 
     elif sample_rate is None:
         raise DomainError("sample_rate is required for plain arrays and block streams")
     if not isinstance(samples, Iterator):
-        samples = ((block,) for block in traces.blocks(np.asarray(samples)))
+        samples = np.asarray(samples)
+        if samples.ndim != 1:
+            raise DomainError(f"samples must be one-dimensional, got shape {samples.shape}")
+        samples = ((block,) for block in traces.blocks(samples))
     return samples, float(sample_rate)
 
 
@@ -122,93 +124,62 @@ def check_framing(window_length: int, hop: int) -> None:
 
 
 class _Framer:
-    """Cuts a pushed stream of sample blocks into batches of frames, and
-    hands each batch's spectra to a worker thread while the next one arrives.
+    """Cuts a pushed stream of sample blocks into batches of frames.
 
     Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
     frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one), whatever the
     block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
     ``_STFT_BLOCK * window_length // hop`` (at least 1) when the hop is
     longer than the window, so a batch never spans more samples than
-    ``_STFT_BLOCK`` windows.  As soon as a batch's last sample arrives,
-    `push` builds the receiver's Hann window (at the first batch), collects
-    the previous batch and calls ``fn(frames, window, spectra)``, which
-    passes the frames and window to ``spectra`` and returns a function that
-    gives the batch's result; so at most one batch of the receiver is in
-    flight.  ``spectra`` is ``worker.start`` if the worker is free, else
-    `_spectra_here`, and a batch done here is collected at once, so that
-    its spectra are freed.  It keeps only the samples that later frames
-    still need, so memory does not grow with the stream.  `close` runs the
-    last, shorter batch here and returns what every batch gave, in order,
-    or re-raises the first error a batch raised; it raises `DomainError`,
-    and builds no window, if the stream ended before one full window.
+    ``_STFT_BLOCK`` windows.  `push` returns the batches whose last sample
+    the block brings, as strided views (no copy); `close` returns the last,
+    shorter batch, or None if no frame is left, and raises `DomainError` if
+    the stream ended before one full window.  ``window``, the receiver's
+    Hann window, is built with the first batch, so a stream shorter than its
+    window never builds one.  The framer keeps only the samples that later
+    frames still need, so memory does not grow with the stream.
     """
 
-    def __init__(self, window_length: int, hop: int, fn, worker: _SpectraWorker):
+    def __init__(self, window_length: int, hop: int):
         check_framing(window_length, hop)
-        self.window_length, self.hop, self._fn, self._worker = window_length, hop, fn, worker
-        self._window = None
+        self.window_length, self.hop, self.window = window_length, hop, None
         frames = min(_STFT_BLOCK, max(1, _STFT_BLOCK * window_length // hop))
         self._span = (frames - 1) * hop + window_length  # samples of a full batch
         self._step = frames * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
-        self._results, self._busy, self._error = [], None, None
 
-    def push(self, block: np.ndarray) -> None:
+    def push(self, block: np.ndarray) -> list[np.ndarray]:
+        if np.ndim(block) != 1:  # a bare array as a step gives its samples as blocks
+            raise DomainError(f"a stream block must be one-dimensional, got {np.ndim(block)} "
+                              "dimensions; a stream yields a tuple of blocks per step")
         self._seen += block.size
         if self._skip:  # a hop longer than the window jumps over these samples
             block, self._skip = block[self._skip:], max(0, self._skip - block.size)
         self._pending.append(block)
         self._held += block.size
         if self._held < self._span:
-            return
+            return []
         buf = np.concatenate(self._pending)
-        first = 0
-        while first + self._span <= buf.size:
-            self._run(buf[first:first + self._span])
-            first += self._step
+        starts = range(0, buf.size - self._span + 1, self._step)
+        first = len(starts) * self._step
         self._skip = max(0, first - buf.size)
-        # copy the leftover (under one batch span) so the joined buffer is freed
+        # copy the leftover (under one batch span) so the joined buffer goes with its batches
         self._pending = [buf[first:].copy()]
         self._held = self._pending[0].size
+        return [self._frames(buf[start:start + self._span]) for start in starts]
 
-    def close(self) -> list:
+    def close(self) -> np.ndarray | None:
         if self._seen < self.window_length:
             raise DomainError(f"input has {self._seen} samples, "
                               f"need at least one window ({self.window_length})")
-        if self._held >= self.window_length:
-            self._run(np.concatenate(self._pending), last=True)
-        self._collect()
-        if self._error is not None:
-            raise self._error
-        results, self._results = self._results, []  # the caller's alone, to free as it goes
-        return results
+        if self._held < self.window_length:
+            return None
+        return self._frames(np.concatenate(self._pending))
 
-    def _run(self, segment: np.ndarray, last: bool = False) -> None:
-        if self._window is None:
-            self._window = hann_window(self.window_length)
-        self._collect()
-        if self._error is not None:  # after an error the later batches are not tracked
-            return
-        frames = sliding_window_view(segment, self.window_length)[::self.hop]
-        here = last or not self._worker.free()
-        try:
-            self._busy = self._fn(frames, self._window,
-                                  _spectra_here if here else self._worker.start)
-        except Exception as exc:  # `close` re-raises it
-            self._error = exc
-        if here:  # done already: keep its result, not its spectra
-            self._collect()
-
-    def _collect(self) -> None:
-        """Collect the batch in flight, if any, or the error it raised."""
-        busy, self._busy = self._busy, None
-        if busy is None:
-            return
-        try:
-            self._results.append(busy())
-        except Exception as exc:  # `close` re-raises it
-            self._error = exc
+    def _frames(self, segment: np.ndarray) -> np.ndarray:
+        if self.window is None:
+            self.window = hann_window(self.window_length)
+        return sliding_window_view(segment, self.window_length)[::self.hop]
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
@@ -241,26 +212,65 @@ def _spectra(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.abs(spectra)
 
 
-def _spectra_here(frames: np.ndarray, window: np.ndarray):
-    """`_spectra` on the calling thread, as a function that gives them."""
-    mags = _spectra(frames, window)
-    return lambda: mags
+def _receive(steps: Iterable, receivers: list, spectra: bool, take) -> list:
+    """Feed a stream to ``(tail, window_length, hop)`` receivers in lockstep.
 
+    Every step goes to every receiver's `_Framer` before the next step is
+    drawn, so the stream is produced once.  Each batch of a receiver goes, in
+    order, to ``take(receiver, batch)``: the batch's magnitude spectra if
+    ``spectra``, else its frames.  The call's one worker thread, joined on
+    every exit, takes `_spectra` of a batch while the calling thread draws
+    the next steps, but only when it is idle; otherwise, and for a
+    receiver's last batch, the spectra are taken here.  A receiver's batch
+    on the worker is handed on before its next batch is submitted, and
+    another receiver's finished batch just after, so the worker does not
+    wait on the hand-off and at most two batches of spectra are alive at
+    once.  Returns, per receiver, None or the first error its framer or one
+    of its batches raised, after which its later batches go nowhere.  An
+    error of the stream itself is raised once the worker is joined.
+    """
+    framers = [(tail, _Framer(window_length, hop)) for tail, window_length, hop in receivers]
+    errors = [None] * len(framers)
+    busy = None  # (receiver, future) of the batch whose spectra are on the worker
+    executor = ThreadPoolExecutor(max_workers=1)
 
-class _SpectraWorker:
-    """The worker thread of one call, computing one batch's spectra at a time."""
+    def hand_on(r, future):
+        try:
+            take(r, future.result())
+        except Exception as exc:
+            errors[r] = exc
 
-    def __init__(self, executor: Executor):
-        self._executor, self._busy = executor, None
+    def feed(r, frames, window, last=False):
+        nonlocal busy
+        if busy is not None and busy[0] == r:  # its previous batch first: its spectra
+            hand_on(*busy)                      # go before the next ones are made
+            busy = None
+        if errors[r] is not None:
+            return
+        try:
+            if spectra and not last and (busy is None or busy[1].done()):
+                done, busy = busy, (r, executor.submit(_spectra, frames, window))
+                if done is not None:  # only now, so the worker does not wait for it
+                    hand_on(*done)
+            else:
+                take(r, _spectra(frames, window) if spectra else frames)
+        except Exception as exc:
+            errors[r] = exc
 
-    def free(self) -> bool:
-        """Whether the spectra it was last given are done."""
-        return self._busy is None or self._busy.done()
-
-    def start(self, frames: np.ndarray, window: np.ndarray):
-        """Start `_spectra` on the worker; returns a function that waits for them."""
-        self._busy = self._executor.submit(_spectra, frames, window)
-        return self._busy.result
+    with executor:
+        for step in steps:
+            for r, (tail, framer) in enumerate(framers):
+                for frames in framer.push(step[tail]) if errors[r] is None else ():
+                    feed(r, frames, framer.window)
+        for r, (_, framer) in enumerate(framers):
+            try:
+                if errors[r] is None and (frames := framer.close()) is not None:
+                    feed(r, frames, framer.window, last=True)
+            except DomainError as exc:  # feed keeps its own errors: this is the framer's
+                errors[r] = exc
+        if busy is not None:  # a receiver whose stream ended with a full batch
+            hand_on(*busy)
+    return errors
 
 
 def stft(samples, window_length: int, hop: int, sample_rate: float | None = None) -> Spectrogram:
@@ -279,30 +289,24 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         raise DomainError("stft needs a SensorTrace or an array; track a block stream "
                           "with stft_track")
     steps, fs = _as_stream(samples, sample_rate)
+    check_framing(window_length, hop)
+    values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
+    shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
+    try:
+        mags = np.empty(shape, dtype=_work_dtype(values.dtype))
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot address
+        raise ConfigError(f"a spectrogram of {shape[0]} frames of {shape[1]} bins "
+                          "does not fit in memory; use a longer hop") from None
     filled = 0
 
-    def fill(frames, window, spectra):
+    def fill(_, batch):
         nonlocal filled
-        rows = slice(filled, filled + frames.shape[0])
-        filled = rows.stop
-        batch = spectra(frames, window)
+        mags[filled:filled + batch.shape[0]] = batch
+        filled += batch.shape[0]
 
-        def store():
-            mags[rows] = batch()
-        return store
-
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        framer = _Framer(window_length, hop, fill, _SpectraWorker(executor))
-        values = samples.values if isinstance(samples, SensorTrace) else np.asarray(samples)
-        shape = (max(0, (values.size - window_length) // hop + 1), window_length // 2 + 1)
-        try:
-            mags = np.empty(shape, dtype=_work_dtype(values.dtype))
-        except (MemoryError, ValueError):  # numpy refuses a size it cannot address
-            raise ConfigError(f"a spectrogram of {shape[0]} frames of {shape[1]} bins "
-                              "does not fit in memory; use a longer hop") from None
-        for block, in steps:
-            framer.push(block)
-        framer.close()
+    error, = _receive(steps, [(0, window_length, hop)], True, fill)
+    if error is not None:
+        raise error
     times = _frame_times(mags.shape[0], window_length, hop, fs)
     return Spectrogram(window_length, hop, fs, mags, times)
 
@@ -343,20 +347,17 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def _track_stft(frames: np.ndarray, window: np.ndarray, spectra, sample_rate: float):
-    """``dominant_frequency(stft(...))`` of one batch of frames, from its spectra alone."""
-    mags = spectra(frames, window)
-    return lambda: _peaks(mags(), sample_rate / window.size)
+def _track_stft(mags: np.ndarray, window_length: int, sample_rate: float):
+    """``dominant_frequency(stft(...))`` of one batch, from its magnitude spectra alone."""
+    return _peaks(mags, sample_rate / window_length)
 
 
-def _track_zero_crossing(frames: np.ndarray, window: np.ndarray, spectra,
-                         sample_rate: float):
+def _track_zero_crossing(frames: np.ndarray, window_length: int, sample_rate: float):
     """Time-domain frequency of one batch of frames: rising-edge counting.
 
-    Only the window's length counts: the frames are not weighted, and no
-    spectra are taken, so the batch runs on the calling thread.  Frequency
-    is the number of rising edges (crossings of the frame's min/max
-    midpoint) divided by the window duration.  Confidence is
+    The frames are not weighted, and no spectra are taken.  Frequency is the
+    number of rising edges (crossings of the frame's min/max midpoint)
+    divided by the window duration.  Confidence is
     ``1 - var(gaps)/mean(gap)^2``, that is ``1 - (k*S2 - S1^2)/S1^2`` over
     the ``k`` gaps' sum ``S1`` and sum of squares ``S2``, clamped to [0, 1];
     frames with fewer than two edges report frequency 0 and confidence 0.
@@ -372,17 +373,15 @@ def _track_zero_crossing(frames: np.ndarray, window: np.ndarray, spectra,
     s1, s2 = (np.bincount(rows[1:][same], weights=g, minlength=n) for g in (gaps, gaps * gaps))
     ok = edges >= 2
     ratio = np.divide((edges - 1) * s2 - s1 * s1, s1 * s1, out=np.ones(n), where=ok)
-    freqs = np.where(ok, edges / (window.size / sample_rate), 0.0)
-    result = freqs, np.clip(1.0 - ratio, 0.0, 1.0)
-    return lambda: result
+    freqs = np.where(ok, edges / (window_length / sample_rate), 0.0)
+    return freqs, np.clip(1.0 - ratio, 0.0, 1.0)
 
 
-#: tracker name -> (batch function, confidence floor below which a slot is erased);
-#: the function takes one batch's frames, the receiver's Hann window (built at
-#: its first batch), a function that starts `_spectra` of frames and window
-#: (see `_Framer`) and the sample rate, and returns a function that gives the
-#: frames' frequencies and confidences (zero-crossing's lie in [0, 1])
-TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
+#: tracker name -> (batch function, confidence floor below which a slot is
+#: erased, whether the function takes a batch's magnitude spectra or else its
+#: frames); the function maps that, the window length and the sample rate to
+#: the frames' frequencies and confidences (zero-crossing's lie in [0, 1])
+TRACKERS = {"stft": (_track_stft, 2.0, True), "zero_crossing": (_track_zero_crossing, 0.5, False)}
 
 
 def track_all(samples, receivers: list, tracker: str = "stft",
@@ -390,39 +389,37 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     """Track one stream with several receivers in lockstep.
 
     ``samples`` is a SensorTrace, a plain array or an iterator of steps (the
-    last two with ``sample_rate``); ``receivers`` lists ``(tail,
-    window_length, hop)`` triples, each a `_Framer` on the blocks of its tail
-    that runs the ``TRACKERS[tracker]`` batch function on each batch of its
-    frames and its window, built at its first batch.  Every step goes to
-    every receiver before the next step is drawn, so the stream is produced
-    once and each receiver keeps at most one batch of its frames in flight
-    on the worker thread.  Returns, per receiver and in receiver order, its
-    `FrequencyTrack` or the `DomainError` it ended with (a stream shorter
-    than its window, which then never builds its window, or the first
-    `DomainError` one of its batches raised).  An error of the stream itself
-    is raised, once the worker has finished.
+    last two with ``sample_rate``) through `_receive`, which hands the
+    ``TRACKERS[tracker]`` batch function each batch of a receiver's frames
+    (or their spectra) as soon as it is complete.  ``receivers`` lists
+    ``(tail, window_length, hop)`` triples.  Returns, per receiver and in
+    receiver order, its `FrequencyTrack` or the `DomainError` it ended with
+    (a stream shorter than its window, which then never builds its window,
+    or the first `DomainError` one of its batches raised).  Another error of
+    a batch, or an error of the stream itself, is raised once the worker has
+    finished.
     """
     steps, fs = _as_stream(samples, sample_rate)
-    fn = functools.partial(TRACKERS[tracker][0], sample_rate=fs)
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        worker = _SpectraWorker(executor)
-        framers = [(tail, _Framer(window_length, hop, fn, worker))
-                   for tail, window_length, hop in receivers]
-        for step in steps:
-            for tail, framer in framers:
-                framer.push(step[tail])
-        return [_finish(framer, fs) for _, framer in framers]
+    fn, _, spectra = TRACKERS[tracker]
+    results = [[] for _ in receivers]
+
+    def track(r, batch):
+        results[r].append(fn(batch, receivers[r][1], fs))
+
+    errors = _receive(steps, receivers, spectra, track)
+    return [_finish(batches, error, window_length, hop, fs)
+            for (_, window_length, hop), batches, error in zip(receivers, results, errors)]
 
 
-def _finish(framer: _Framer, sample_rate: float) -> FrequencyTrack | DomainError:
-    """The track of a receiver's framer, or the error its stream ended with."""
-    try:
-        freqs, confs = zip(*framer.close())
-    except DomainError as exc:
-        return exc
-    freqs = np.concatenate(freqs)  # a column's batches go as soon as it is joined
-    confs = np.concatenate(confs)
-    times = _frame_times(freqs.size, framer.window_length, framer.hop, sample_rate)
+def _finish(batches: list, error, window_length: int, hop: int,
+            sample_rate: float) -> FrequencyTrack | DomainError:
+    """A receiver's track from its batches' results, or the `DomainError` it ended with."""
+    if isinstance(error, DomainError):
+        return error
+    if error is not None:
+        raise error
+    freqs, confs = (np.concatenate(column) for column in zip(*batches))
+    times = _frame_times(freqs.size, window_length, hop, sample_rate)
     return FrequencyTrack(times, freqs, confs)
 
 

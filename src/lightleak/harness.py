@@ -207,7 +207,7 @@ def _decode(track, alphabet: SymbolAlphabet, tracker: str,
     with _stage("calibrate"):
         calibration = codec.calibrate(track, alphabet)
     with _stage("classify"):
-        _, floor = dsp.TRACKERS[tracker]
+        floor = dsp.TRACKERS[tracker][1]
         bits, slots = codec.classify_symbols(track, calibration, alphabet,
                                              confidence_floor=floor)
     with _stage("decode"):

@@ -30,6 +30,8 @@ class _Trace:
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=self._dtype))
+        if values.ndim != 1:
+            raise DomainError(f"trace values must be one-dimensional, got shape {values.shape}")
         object.__setattr__(self, "values", values)
         if self.sample_rate <= 0:
             raise DomainError("sample_rate must be > 0")

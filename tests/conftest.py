@@ -1,4 +1,5 @@
-"""Shared oracles, scenario helpers, and a guard against leaked threads.
+"""Shared oracles, scenario helpers, a scripted worker, and a guard against
+leaked threads.
 
 The oracles here are deliberately independent of the package code paths they
 check: frequency is measured by counting toggles, and test tones are
@@ -6,7 +7,9 @@ synthesised directly from closed-form phase rather than through the sensor
 model.
 """
 
+import itertools
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +29,52 @@ def synth_square(freq_hz: float, sample_rate: float, n_samples: int,
     """Closed-form square wave (values 0/1), independent of the sensor model."""
     t = np.arange(n_samples, dtype=np.float64) / sample_rate
     return (np.floor(2.0 * (phase0 + freq_hz * t)) % 2.0).astype(np.float64)
+
+
+class ScriptedExecutor:
+    """A stand-in for `concurrent.futures.ThreadPoolExecutor`, patched in as
+    ``dsp.ThreadPoolExecutor``, that makes the receive loop deterministic.
+
+    It runs each job on the calling thread when its result is asked for, and
+    its futures say whether they are done from ``script``, a sequence of
+    booleans read in a cycle.  ``events`` logs each ``("submit", future)``
+    and ``("result", future)`` in order; a future's ``returned`` is a weak
+    reference to what its result was.
+    """
+
+    def __init__(self, script):
+        self._script = itertools.cycle(script)
+        self.events = []
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        future = _ScriptedFuture(self, fn, args)
+        self.events.append(("submit", future))
+        return future
+
+
+class _ScriptedFuture:
+    def __init__(self, executor, fn, args):
+        self._executor, self._job = executor, (fn, args)
+        self.returned = None
+
+    def done(self):
+        return next(self._executor._script)
+
+    def result(self):
+        self._executor.events.append(("result", self))
+        fn, args = self._job
+        value = fn(*args)
+        self.returned = weakref.ref(value)
+        return value
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import synth_square
+from conftest import ScriptedExecutor, synth_square
 
 from lightleak import (
     ChannelConfig,
     CommandSchedule,
+    SensorTrace,
     Spectrogram,
     dominant_frequency,
     hann_window,
@@ -305,25 +307,35 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
     assert np.allclose(track.confidences, want[:, 1], rtol=0.0, atol=1e-12)
 
 
-class _LazyWorker:
-    """A `dsp._SpectraWorker` that is always free and takes a batch's spectra
-    only when the framer collects it; it keeps the most batches that were
-    started and not yet collected."""
+def _serial_track(x, window, hop, tracker):
+    """Frequencies and confidences of the ``TRACKERS[tracker]`` batch function
+    over every batch of ``x``'s frames in turn, with no worker."""
+    fn, _, spectra = dsp.TRACKERS[tracker]
+    frames = sliding_window_view(x, window)[::hop]
+    k = min(dsp._STFT_BLOCK, max(1, dsp._STFT_BLOCK * window // hop))
+    batches = (frames[i:i + k] for i in range(0, frames.shape[0], k))
+    freqs, confs = zip(*(fn(dsp._spectra(b, hann_window(window)) if spectra else b, window, FS)
+                         for b in batches))
+    return np.concatenate(freqs), np.concatenate(confs)
 
-    def __init__(self):
-        self.in_flight = self.most_in_flight = 0
 
-    def free(self):
-        return True
-
-    def start(self, frames, window):
-        self.in_flight += 1
-        self.most_in_flight = max(self.most_in_flight, self.in_flight)
-        return lambda: self._collect(frames, window)
-
-    def _collect(self, frames, window):
-        self.in_flight -= 1
-        return dsp._spectra(frames, window)
+def _hand_on_places(events):
+    """Where the receive loop handed on each batch it gave a `ScriptedExecutor`,
+    from the executor's events and a ``("spectra", None)`` event per `_spectra`
+    call: just after submitting another batch, as its receiver's next batch
+    came, or in the final drain, after which nothing is left to do."""
+    places = []
+    for i, (kind, future) in enumerate(events):
+        if kind != "result":
+            continue
+        before = events[i - 1]
+        if before[0] == "submit" and before[1] is not future:
+            places.append("other")
+        elif i + 2 == len(events):  # its own spectra are the call's last
+            places.append("drain")
+        else:
+            places.append("own")
+    return places
 
 
 def _tracks_equal(a, b):
@@ -386,25 +398,16 @@ class TestBlockEdges:
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", block)
         x = np.arange(499.0)  # with (4, 3) the last segment is exactly one window
-        def batch(frames, window, spectra):
-            started = spectra(frames, window)
-
-            def collect():
-                started()
-                return frames
-            return collect
-
-        worker = _LazyWorker()
-        framer = dsp._Framer(window, hop, batch, worker)
-        for block in traces.blocks(x):
-            framer.push(block)
-        frames = framer.close()
-        assert worker.most_in_flight == 1
+        framer = dsp._Framer(window, hop)
+        frames = [batch for block in traces.blocks(x) for batch in framer.push(block)]
+        last = framer.close()
+        frames += [] if last is None else [last]
         k = min(3, max(1, 3 * window // hop))  # hops past the window cut the batch
         assert [f.shape[0] for f in frames[:-1]] == [k] * (len(frames) - 1)
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
+        assert np.array_equal(framer.window, hann_window(window))
 
-    # several receivers, so several batches in flight beside the one worker
+    # several receivers, whose batches share the one worker
     @pytest.mark.parametrize("tracker", sorted(dsp.TRACKERS))
     def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker):
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
@@ -412,16 +415,58 @@ class TestBlockEdges:
         x = np.random.default_rng(3).integers(0, 2, 3000, dtype=np.uint8)
         receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
         got = dsp.track_all(x, receivers, tracker, FS)
-        fn, _ = dsp.TRACKERS[tracker]
         for (_, window, hop), track in zip(receivers, got, strict=True):
-            frames = sliding_window_view(x, window)[::hop]
-            k = min(3, max(1, 3 * window // hop))
-            freqs, confs = zip(*(fn(frames[i:i + k], hann_window(window), dsp._spectra_here, FS)()
-                                 for i in range(0, frames.shape[0], k)))
-            assert np.array_equal(track.frequencies, np.concatenate(freqs))
-            assert np.array_equal(track.confidences, np.concatenate(confs))
+            freqs, confs = _serial_track(x, window, hop, tracker)
+            assert np.array_equal(track.frequencies, freqs)
+            assert np.array_equal(track.confidences, confs)
             assert np.array_equal(track.frame_times,
-                                  dsp._frame_times(frames.shape[0], window, hop, FS))
+                                  dsp._frame_times(freqs.size, window, hop, FS))
+
+    def test_each_hand_on_matches_the_serial_reference(self, monkeypatch):
+        # the scripts make the worker seem busy or idle at chosen batches, so
+        # that its batches are handed on at each place the loop has for it
+        monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
+        # 2998 samples end the frames of (4, 3) with a full batch: its close gives none
+        x = np.random.default_rng(5).integers(0, 2, 2998, dtype=np.uint8)
+        receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
+        spectra, places = dsp._spectra, set()
+        for script in [(False,), (True,), (True, False), (False, False, True)]:
+            executor = ScriptedExecutor(script)
+
+            def logged(frames, window):
+                executor.events.append(("spectra", None))
+                return spectra(frames, window)
+
+            monkeypatch.setattr(dsp, "ThreadPoolExecutor", executor)
+            monkeypatch.setattr(dsp, "_spectra", logged)
+            got = dsp.track_all(x, receivers, "stft", FS)
+            places.update(_hand_on_places(executor.events))
+            for (_, window, hop), track in zip(receivers, got, strict=True):
+                freqs, confs = _serial_track(x, window, hop, "stft")
+                assert np.array_equal(track.frequencies, freqs)
+                assert np.array_equal(track.confidences, confs)
+        assert places == {"own", "other", "drain"}
+
+    def test_at_most_two_batches_of_spectra_are_alive(self, monkeypatch):
+        spectra, made, most = dsp._spectra, [], 0
+
+        def counted(frames, window):
+            nonlocal most
+            mags = spectra(frames, window)
+            made.append(weakref.ref(mags))
+            most = max(most, sum(ref() is not None for ref in made))
+            return mags
+
+        monkeypatch.setattr(dsp, "_spectra", counted)
+        monkeypatch.setattr(dsp, "_STFT_BLOCK", 16)
+        x = np.random.default_rng(7).integers(0, 2, 400_000, dtype=np.uint8)
+        receivers = [(0, 256, 128), (0, 512, 256), (0, 1024, 512), (0, 2048, 1024),
+                     (0, 4096, 2048)]
+        tracks = dsp.track_all(x, receivers, sample_rate=FS)
+        assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
+        assert len(made) > 50
+        assert most <= 2
 
     def test_a_stream_error_joins_the_worker(self, monkeypatch):
         spectra = dsp._spectra
@@ -469,3 +514,29 @@ class TestBlockEdges:
     def test_stream_needs_sample_rate(self):
         with pytest.raises(DomainError, match="sample_rate"):
             dsp.stft_track(iter([np.zeros(1024)]), 256, 128)
+
+
+class TestOneDimensional:
+    """Samples, stream blocks and traces that are not one-dimensional are
+    refused with `DomainError`."""
+
+    def test_a_stream_of_bare_arrays(self, monkeypatch):
+        # each step is then an array, whose first sample would be read as the block
+        x = np.zeros(200_000, dtype=np.uint8)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            dsp.stft_track(traces.blocks(x), 256, 128, FS)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", 100)  # 2 000 blocks
+        with pytest.raises(DomainError, match="one-dimensional"):
+            dsp.stft_track(traces.blocks(x), 256, 128, FS)
+
+    def test_a_trace_of_two_rows(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            SensorTrace(FS, np.zeros((2, 5000), np.uint8))
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 5000)), np.float64(3.0)])
+    def test_arrays(self, x):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            stft(x, 256, 128, FS)
+        for tracker in dsp.TRACKERS:
+            with pytest.raises(DomainError, match="one-dimensional"):
+                dsp.track_all(x, [(0, 256, 128)], tracker, FS)

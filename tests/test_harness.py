@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import ScriptedExecutor
+
 import lightleak as ll
 from lightleak import _kernels, bulb, channel, codec, dsp, fileio, harness, traces
 from lightleak.errors import (
@@ -397,27 +399,35 @@ class TestReceiveAll:
         assert set(built) == {4096}
 
     def test_a_batch_error_is_its_receivers_own(self, fast_link, monkeypatch):
-        track, floor = dsp.TRACKERS["stft"]
-        batches = collections.Counter()
-
-        def flaky(frames, window, spectra, sample_rate):  # the 2048 window fails its second batch
-            batches[window.size] += 1
-            if window.size == 2048 and batches[2048] == 2:
-                raise DomainError("the second batch failed")
-            return track(frames, window, spectra, sample_rate)
-
-        monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor))
+        track, floor, spectra = dsp.TRACKERS["stft"]
         config, alphabet = fast_link
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
-        steps = channel.link_blocks(schedule, [config], duration)
-        ok, bad, also_ok = harness.receive_all(
-            steps, alphabet, [(0, 4096, 2048), (0, 2048, 1024), (0, 4096, 1024)],
-            reference=b"\x41", sample_rate=config.sample_rate)
-        assert ok.ber == 0.0 and also_ok.ber == 0.0
-        assert isinstance(bad, DomainError) and bad.stage == "track"
-        assert str(bad) == "the second batch failed"
-        assert batches[2048] == 2  # no later batch of that receiver is tracked
-        assert batches[4096] > 4
+        # on the worker thread, then on a scripted worker that is always done,
+        # so that every batch but a receiver's last is handed on from it
+        for scripted in (None, ScriptedExecutor([True])):
+            if scripted is not None:
+                monkeypatch.setattr(dsp, "ThreadPoolExecutor", scripted)
+            batches, failed = collections.Counter(), []
+
+            def flaky(mags, window_length, sample_rate):  # the 2048 window fails its second batch
+                batches[window_length] += 1
+                if window_length == 2048 and batches[2048] == 2:
+                    failed.append(mags)
+                    raise DomainError("the second batch failed")
+                return track(mags, window_length, sample_rate)
+
+            monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor, spectra))
+            steps = channel.link_blocks(schedule, [config], duration)
+            ok, bad, also_ok = harness.receive_all(
+                steps, alphabet, [(0, 4096, 2048), (0, 2048, 1024), (0, 4096, 1024)],
+                reference=b"\x41", sample_rate=config.sample_rate)
+            assert ok.ber == 0.0 and also_ok.ber == 0.0
+            assert isinstance(bad, DomainError) and bad.stage == "track"
+            assert str(bad) == "the second batch failed"
+            assert batches[2048] == 2  # no later batch of that receiver is tracked
+            assert batches[4096] > 4
+        assert any(future.returned() is failed[0] for kind, future in scripted.events
+                   if kind == "result")
 
 
 def _record_threads(monkeypatch, idents: list) -> None:
