@@ -11,7 +11,6 @@ from .bulb import (
     CommandSchedule,
     apply_rate_limit,
     duty_cycle,
-    fade_profile,
     render_level_trace,
     render_pwm,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "encode_frame",
     "export_spectrogram",
     "export_trace",
-    "fade_profile",
     "hann_window",
     "import_trace",
     "propagate",

@@ -122,25 +122,6 @@ def apply_rate_limit(schedule: CommandSchedule, max_rate: float) -> RateLimited:
     return RateLimited(CommandSchedule(tuple(out), schedule.initial_level), total_delay)
 
 
-def fade_profile(from_level: int, to_level: int, fade_duration: float, t):
-    """Effective level ``t`` seconds after a command, under a linear fade.
-
-    The level of one command from ``from_level`` to ``to_level`` at time 0,
-    read off the knots the render path lays for it (`_fade_knots`): a linear
-    ramp over ``fade_duration`` that holds ``to_level`` afterwards, so a zero
-    fade is ``to_level`` from t = 0 on.  Accepts scalar or array ``t``.
-    """
-    if not fade_duration >= 0:  # NaN fails the comparison too
-        raise DomainError(f"fade_duration must be >= 0, got {fade_duration}")
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(t >= 0):
-        raise DomainError("t must be >= 0")
-    schedule = CommandSchedule.from_pairs([(0.0, to_level)], from_level)
-    # interp reads the last knot at a repeated time: a zero fade is to_level at t = 0
-    out = np.interp(t, *_fade_knots(schedule, fade_duration))
-    return float(out) if out.ndim == 0 else out
-
-
 def _fade_knots(schedule: CommandSchedule, fade_duration: float):
     """Knot times and levels of the piecewise-linear level of a schedule.
 

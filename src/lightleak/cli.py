@@ -6,7 +6,7 @@ Subcommands::
     transmit     payload -> brightness command schedule file
     render       schedule file -> simulated sensor trace file
     decode       sensor trace file -> decode report
-    spectrogram  trace file -> STFT magnitude table
+    spectrogram  sensor trace file -> STFT magnitude table
     sweep        one-parameter Monte-Carlo sweep -> results table
 
 Exit codes: 0 when the decode is clean (bit error rate 0, or no parity
@@ -31,7 +31,6 @@ from .errors import (
     ScheduleFormatError,
     TraceFormatError,
 )
-from .traces import SensorTrace
 
 EXIT_OK = 0
 EXIT_DECODE_ERROR = 1
@@ -74,14 +73,6 @@ def _payload(args) -> bytes | None:
             f"--payload-hex holds {len(payload)} bytes, a frame carries at most "
             f"{codec.MAX_PAYLOAD}")
     return payload
-
-
-def _read_sensor(path) -> SensorTrace:
-    trace = fileio.import_trace(path)
-    if not isinstance(trace, SensorTrace):
-        raise TraceFormatError(
-            f"{path} holds a {type(trace).__name__}, not a SensorTrace", fileio.KIND_OFFSET)
-    return trace
 
 
 def _require_out(args) -> str:
@@ -145,7 +136,7 @@ def cmd_render(args) -> int:
 def cmd_decode(args) -> int:
     config, alphabet, window, hop, tracker = _gather(args)
     reference = _payload(args)
-    trace = _read_sensor(args.trace)
+    trace = fileio.import_trace(args.trace)
     report = harness.receive(trace, alphabet, window, hop, tracker, reference)
     rate = codec.throughput(alphabet, config.max_command_rate)
     _write(fileio.format_report(report, throughput_bits=rate), args.out)
@@ -155,7 +146,7 @@ def cmd_decode(args) -> int:
 def cmd_spectrogram(args) -> int:
     _, _, window, hop, _ = _gather(args)
     out = _require_out(args)
-    fileio.export_spectrogram(dsp.stft(_read_sensor(args.trace), window, hop), out)
+    fileio.export_spectrogram(dsp.stft(fileio.import_trace(args.trace), window, hop), out)
     return EXIT_OK
 
 

@@ -340,11 +340,3 @@ def bits_to_text(bits) -> str:
             raise DomainError(f"cannot serialise bit value {b!r}")
     return "".join(out)
 
-
-def text_to_bits(text: str) -> np.ndarray:
-    """Parse a 0/1/e string back into a bit sequence."""
-    mapping = {"0": 0, "1": 1, "e": ERASURE}
-    try:
-        return np.array([mapping[c] for c in text], dtype=np.int8)
-    except KeyError as exc:
-        raise DomainError(f"invalid bit character {exc.args[0]!r}") from None

@@ -1,10 +1,11 @@
 """On-disk formats: binary traces, spectrogram tables, schedules, reports.
 
-Traces use a small binary format because a ten-megasample capture is
-impractical as text: an 8-byte magic, version, trace kind, value encoding,
-sample rate, start time and sample count, followed by raw little-endian
-samples.  Spectrograms, schedules, sweep tables and decode reports are plain
-text so they can be inspected and plotted directly.
+A trace file holds one sensor capture in a small binary format, because a
+ten-megasample capture is impractical as text: an 8-byte magic, version,
+trace kind (4, a sensor trace), value encoding (1, uint8), sample rate,
+start time (always 0.0) and sample count, followed by one byte per sample.
+Spectrograms, schedules, sweep tables and decode reports are plain text so
+they can be inspected and plotted directly.
 """
 
 from __future__ import annotations
@@ -19,40 +20,31 @@ from .bulb import BrightnessCommand, CommandSchedule
 from .codec import DecodeReport, bits_to_text
 from .dsp import Spectrogram
 from .errors import DomainError, ScheduleFormatError, TraceFormatError
-from .traces import IntensityTrace, LevelTrace, PwmTrace, SensorTrace
+from .traces import SensorTrace
 
 MAGIC = b"LLTRACE\x00"
 VERSION = 1
+#: the one trace kind and value encoding a trace file holds
+SENSOR_KIND, UINT8_ENCODING = 4, 1
 
 _HEADER = struct.Struct("<8sHBBddQ")
-#: byte offsets of the trace kind and sample rate fields in the header
-KIND_OFFSET = 10
-SAMPLE_RATE_OFFSET = 12
-
-_KIND_BY_CLASS = {LevelTrace: 1, PwmTrace: 2, IntensityTrace: 3, SensorTrace: 4}
-_CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
-#: value encodings: float64 or uint8 little-endian
-_ENC_F64, _ENC_U8 = 0, 1
-_DTYPE_BY_ENC = {_ENC_F64: np.dtype("<f8"), _ENC_U8: np.dtype("u1")}
+#: byte offsets of the trace kind, value encoding and sample rate fields
+KIND_OFFSET, ENCODING_OFFSET, SAMPLE_RATE_OFFSET = 10, 11, 12
 
 
-def export_trace(trace, path) -> None:
-    """Write a trace to ``path`` in the binary trace format."""
-    kind = _KIND_BY_CLASS.get(type(trace))
-    if kind is None:
-        raise DomainError(f"cannot export object of type {type(trace).__name__}")
-    values = trace.values
-    encoding = _ENC_U8 if values.dtype == np.uint8 else _ENC_F64
-    start_time = getattr(trace, "start_time", 0.0)
-    header = _HEADER.pack(MAGIC, VERSION, kind, encoding,
-                          trace.sample_rate, start_time, values.size)
+def export_trace(trace: SensorTrace, path) -> None:
+    """Write a sensor trace to ``path`` in the binary trace format."""
+    if not isinstance(trace, SensorTrace):
+        raise DomainError(f"a trace file holds a SensorTrace, not a {type(trace).__name__}")
+    header = _HEADER.pack(MAGIC, VERSION, SENSOR_KIND, UINT8_ENCODING,
+                          trace.sample_rate, 0.0, len(trace))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype=_DTYPE_BY_ENC[encoding]).data)
+        fh.write(trace.values.data)
 
 
-def import_trace(path):
-    """Read a trace written by `export_trace`; the round trip is bit-exact.
+def import_trace(path) -> SensorTrace:
+    """Read a sensor trace written by `export_trace`; the round trip is bit-exact.
 
     The header and the file size are checked first; the samples are then
     read straight into their array, so the file is never held twice.  A
@@ -63,38 +55,35 @@ def import_trace(path):
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise TraceFormatError("file shorter than trace header", len(header))
-        magic, version, kind, encoding, sample_rate, start_time, count = \
-            _HEADER.unpack(header)
+        magic, version, kind, encoding, sample_rate, _, count = _HEADER.unpack(header)
         if magic != MAGIC:
             raise TraceFormatError("bad magic, not a trace file", 0)
         if version != VERSION:
             raise TraceFormatError(f"unsupported trace version {version}", 8)
-        if kind not in _CLASS_BY_KIND:
-            raise TraceFormatError(f"unknown trace kind {kind}", KIND_OFFSET)
-        if encoding not in _DTYPE_BY_ENC:
-            raise TraceFormatError(f"unknown value encoding {encoding}", 11)
+        if kind != SENSOR_KIND:
+            raise TraceFormatError(
+                f"trace kind {kind} is not a sensor trace (kind {SENSOR_KIND})", KIND_OFFSET)
+        if encoding != UINT8_ENCODING:
+            raise TraceFormatError(f"value encoding {encoding} is not uint8 "
+                                   f"(encoding {UINT8_ENCODING})", ENCODING_OFFSET)
         if not sample_rate > 0:
             raise TraceFormatError(f"sample rate must be > 0, got {sample_rate}",
                                    SAMPLE_RATE_OFFSET)
-        dtype = _DTYPE_BY_ENC[encoding]
-        if stat.S_ISREG(st.st_mode) and st.st_size < _HEADER.size + count * dtype.itemsize:
+        if stat.S_ISREG(st.st_mode) and st.st_size < _HEADER.size + count:
             raise TraceFormatError(
                 f"truncated payload: header promises {count} samples", st.st_size)
         try:
-            values = np.empty(count, dtype=dtype)
+            values = np.empty(count, dtype=np.uint8)
         except (MemoryError, ValueError):  # numpy refuses a size it cannot address
             raise TraceFormatError(f"header promises {count} samples, more than fit in "
                                    "memory", 28) from None
-        got = fh.readinto(values.view(np.uint8))
-        if got < values.nbytes:  # a pipe, or a file that shrank after the check
+        got = fh.readinto(values)
+        if got < values.size:  # a pipe, or a file that shrank after the check
             raise TraceFormatError(
                 f"truncated payload: header promises {count} samples", _HEADER.size + got)
-    cls = _CLASS_BY_KIND[kind]
     try:
-        if cls is LevelTrace:
-            return LevelTrace(sample_rate, values, start_time)
-        return cls(sample_rate, values)
-    except DomainError as exc:  # samples outside the kind's value range
+        return SensorTrace(sample_rate, values)
+    except DomainError as exc:  # a sample that is not 0 or 1
         raise TraceFormatError(str(exc), _HEADER.size) from None
 
 

@@ -19,7 +19,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True, eq=False)
 class _Trace:
-    """Shared body: values stored contiguously as ``_dtype``, then range-checked."""
+    """Shared body: values range-checked, then stored contiguously as ``_dtype``."""
 
     sample_rate: float
     values: np.ndarray = field(repr=False)
@@ -29,18 +29,18 @@ class _Trace:
     _dtype = np.float64
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=self._dtype))
+        values = np.asarray(self.values)
         if values.ndim != 1:
             raise DomainError(f"trace values must be one-dimensional, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
         if self.sample_rate <= 0:
             raise DomainError("sample_rate must be > 0")
-        if values.size:
+        if values.size:  # before the cast, which would read 0.5 and 256 as a binary 0
             self._check_range(values)
+        object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=self._dtype))
 
     def _check_range(self, values: np.ndarray) -> None:
-        if self._dtype is np.uint8 and values.max() > 1:
-            raise DomainError("binary trace values must be 0 or 1")
+        if self._dtype is np.uint8 and not _binary(values):
+            raise DomainError("binary trace values must be exactly 0 or 1")
 
     def __len__(self):
         return self.values.size
@@ -50,11 +50,15 @@ class _Trace:
         return self.values.size / self.sample_rate
 
 
-@dataclass(frozen=True, eq=False)
+def _binary(values: np.ndarray) -> bool:
+    """Whether every value is exactly 0 or 1 (NaN is neither)."""
+    if values.dtype.kind in "bu":  # one pass and no temporary for a trace file's samples
+        return bool(values.max() <= 1)
+    return bool(np.all((values == 0) | (values == 1)))
+
+
 class LevelTrace(_Trace):
     """Effective brightness level over time, fading applied (values in [0, 255])."""
-
-    start_time: float = 0.0
 
     def _check_range(self, values):
         if not (values.min() >= 0.0 and values.max() <= 255.0):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lightleak
 from lightleak import ChannelConfig, SymbolAlphabet, _kernels, cli, fileio
-from lightleak.traces import LevelTrace, SensorTrace
+from lightleak.traces import SensorTrace
 
 FAST_CONFIG = """\
 # cheap clean link for CLI tests
@@ -341,8 +341,11 @@ def _no_render(*args, **kwargs):
 ])
 def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp_path,
                                              capsys, monkeypatch):
+    # a level trace (kind 1, float64), as files written before a trace file held
+    # only sensor captures
     level = tmp_path / "level.bin"
-    fileio.export_trace(LevelTrace(10_000_000.0, np.full(8192, 137.0)), level)
+    level.write_bytes(fileio._HEADER.pack(fileio.MAGIC, fileio.VERSION, 1, 0, 10_000_000.0,
+                                          0.0, 8192) + np.full(8192, 137.0).tobytes())
     sched = tmp_path / "sched.txt"
     sched.write_text("# initial_level=137\n0.5 135\n")  # needs >= 0.501 s
     latin1 = tmp_path / "latin1.cfg"
@@ -357,8 +360,9 @@ def test_bad_input_exit_two_before_rendering(command, fragment, config_file, tmp
     assert cli.main(argv[:1] + ["--config", config_file] + argv[1:]) == cli.EXIT_CONFIG_ERROR
     err = _one_line_error(capsys)
     assert err.startswith(fragment)
+    assert "warning:" not in err
     if "{level}" in command:
-        assert "LevelTrace" in err
+        assert "trace kind 1 " in err and err.endswith("(at byte 10)")
 
 
 @settings(max_examples=100, deadline=None)

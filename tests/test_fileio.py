@@ -7,30 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightleak import fileio
 from lightleak.bulb import CommandSchedule
-from lightleak.errors import ScheduleFormatError, TraceFormatError
+from lightleak.errors import DomainError, ScheduleFormatError, TraceFormatError
 from lightleak.traces import IntensityTrace, LevelTrace, PwmTrace, SensorTrace
 
 _rates = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False)
 _binary = st.lists(st.integers(0, 1), max_size=200).map(lambda v: np.array(v, np.uint8))
-
-
-def _floats(lo, hi):
-    return st.lists(st.floats(min_value=lo, max_value=hi, allow_nan=False),
-                    max_size=200).map(lambda v: np.array(v, np.float64))
-
-
-_traces = st.one_of(
-    st.builds(LevelTrace, _rates, _floats(0.0, 255.0),
-              st.floats(allow_nan=False, allow_infinity=False)),
-    st.builds(PwmTrace, _rates, _binary),
-    st.builds(IntensityTrace, _rates, _floats(0.0, 1e300)),
-    st.builds(SensorTrace, _rates, _binary),
-)
+_traces = st.builds(SensorTrace, _rates, _binary)
 
 _schedules = st.builds(
     lambda times, levels, initial: CommandSchedule.from_pairs(zip(times, levels), initial),
@@ -57,19 +44,16 @@ class TestTraceFileProperties:
         assert back.sample_rate == trace.sample_rate
         assert back.values.dtype == trace.values.dtype
         assert back.values.tobytes() == trace.values.tobytes()
-        if isinstance(trace, LevelTrace):
-            assert back.start_time == trace.start_time
 
     @settings(max_examples=40, deadline=None)
     @given(_traces)
     def test_file_is_header_then_raw_samples(self, path, trace):
         fileio.export_trace(trace, path)
         raw = path.read_bytes()
-        header = fileio._HEADER.unpack_from(raw)
-        assert header[0] == fileio.MAGIC
-        assert header[-1] == len(trace)
-        encoding = "u1" if trace.values.dtype == np.uint8 else "<f8"
-        assert raw[fileio._HEADER.size:] == trace.values.astype(encoding).tobytes()
+        assert fileio._HEADER.unpack_from(raw) == (
+            fileio.MAGIC, fileio.VERSION, fileio.SENSOR_KIND, fileio.UINT8_ENCODING,
+            trace.sample_rate, 0.0, len(trace))
+        assert raw[fileio._HEADER.size:] == trace.values.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(_traces, st.data())
@@ -88,6 +72,10 @@ class TestTraceFileProperties:
         # a valid magic and version, so the fuzz reaches the later fields
         st.binary(min_size=26, max_size=120).map(
             lambda b: fileio.MAGIC + struct.pack("<H", fileio.VERSION) + b),
+        # and a sensor kind and uint8 encoding, so it reaches the rate, count and samples
+        st.binary(min_size=24, max_size=120).map(
+            lambda b: fileio.MAGIC + struct.pack("<HBB", fileio.VERSION, fileio.SENSOR_KIND,
+                                                 fileio.UINT8_ENCODING) + b),
     ))
     def test_fuzzed_file_parses_or_is_a_format_error(self, path, data):
         path.write_bytes(data)
@@ -101,6 +89,11 @@ class TestTraceFileProperties:
         ("sample_rate", 0.0, fileio.SAMPLE_RATE_OFFSET),
         ("sample_rate", float("nan"), fileio.SAMPLE_RATE_OFFSET),
         ("sample", 7, fileio._HEADER.size),
+        # level, PWM and intensity traces, and float64 samples, are not read
+        ("kind", 1, fileio.KIND_OFFSET),
+        ("kind", 2, fileio.KIND_OFFSET),
+        ("kind", 3, fileio.KIND_OFFSET),
+        ("encoding", 0, fileio.ENCODING_OFFSET),
     ])
     def test_bad_field_is_a_format_error(self, tmp_path, field, value, offset):
         path = tmp_path / "trace.bin"
@@ -108,12 +101,45 @@ class TestTraceFileProperties:
         raw = bytearray(path.read_bytes())
         if field == "sample_rate":
             struct.pack_into("<d", raw, fileio.SAMPLE_RATE_OFFSET, value)
-        else:
+        elif field == "sample":
             raw[-1] = value
+        else:
+            raw[offset] = value
         path.write_bytes(bytes(raw))
         with pytest.raises(TraceFormatError) as exc_info:
             fileio.import_trace(path)
         assert exc_info.value.byte_offset == offset
+
+
+@settings(max_examples=100, deadline=None)
+@given(cls=st.sampled_from([SensorTrace, PwmTrace]),
+       values=st.lists(st.one_of(st.integers(0, 1), st.integers(-300, 300),
+                                 st.floats(), st.sampled_from([0.5, 1.7, 256, -0.2])),
+                       max_size=20))
+@example(cls=SensorTrace, values=[0.5, 1.7])
+@example(cls=SensorTrace, values=np.array([256]))
+@example(cls=PwmTrace, values=[0.9, -0.2])
+@example(cls=SensorTrace, values=[0.0, float("nan")])
+def test_binary_trace_holds_exactly_its_values_or_refuses_them(cls, values):
+    """A value that is not exactly 0 or 1 is refused before the uint8 cast,
+    which would read 0.5 as 0 and 256 as 0 (and warn on NaN)."""
+    if all(v == 0 or v == 1 for v in values):
+        assert cls(1000.0, values).values.tolist() == [int(v) for v in values]
+    else:
+        with pytest.raises(DomainError, match="exactly 0 or 1"):
+            cls(1000.0, values)
+
+
+@pytest.mark.parametrize("trace", [
+    LevelTrace(1000.0, np.linspace(0, 255, 50)),
+    PwmTrace(2_000_000.0, np.array([0, 1, 1, 0, 1], dtype=np.uint8)),
+    IntensityTrace(10_000_000.0, np.array([0.0, 0.5, 1.25])),
+], ids=lambda t: type(t).__name__)
+def test_only_a_sensor_trace_is_written(tmp_path, trace):
+    path = tmp_path / "trace.bin"
+    with pytest.raises(DomainError, match=f"not a {type(trace).__name__}"):
+        fileio.export_trace(trace, path)
+    assert not path.exists()
 
 
 def test_trace_files_hold_the_samples_once(tmp_path):
