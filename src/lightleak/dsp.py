@@ -17,16 +17,20 @@ spectrogram fill).  A stream yields one block per tail at each step, as
 a ``(tail, window_length, hop)`` triple.
 
 The receive loop opens one worker thread for the call, joined on its every
-exit, that takes the magnitude spectra of one batch at a time while the
-calling thread draws (for a link: renders) the next blocks; the FFT and
-numpy's large loops release the GIL.  Everything else, every public function
-and the peak search included, runs on the calling thread, so the worker
-takes the GIL only between its few large calls and the two threads seldom
-wait on each other.  A batch goes to the worker only if it is idle, else its
-spectra are taken on the calling thread; a receiver's last batch always is,
-as nothing is left to overlap it with.  At most two batches of spectra are
-alive at once, and each frame's results depend on that frame alone, so the
-output is bit for bit that of a serial run.
+exit, that runs each batch's whole job (for a tracker, the batch's magnitude
+spectra and the tracker's batch function; for `stft`, the spectra) while
+the calling thread draws (for a link: renders) the next blocks; the FFT and
+numpy's large loops release the GIL.  Only private functions run on the
+worker: every public function runs on the calling thread.  A batch is queued
+on the worker while fewer batches than there are receivers wait there, and
+always when its receiver already has one waiting, so a receiver's batches
+run in order; otherwise it runs on the calling thread, and so does a
+receiver's last batch, once its queued ones are handed on, as nothing is
+left to overlap it with.  Results are handed on from one queue in
+submission order.  A tracker's spectra are made and consumed within one
+job, so at most two batches of spectra are alive at once, and each frame's
+results depend on that frame alone, so the output is bit for bit that of a
+serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -40,6 +44,7 @@ largest.
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -212,50 +217,75 @@ def _spectra(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.abs(spectra)
 
 
-def _receive(steps: Iterable, receivers: list, spectra: bool, take) -> list:
+def _receive(steps: Iterable, receivers: list, job, take) -> list:
     """Feed a stream to ``(tail, window_length, hop)`` receivers in lockstep.
 
     Every step goes to every receiver's `_Framer` before the next step is
-    drawn, so the stream is produced once.  Each batch of a receiver goes, in
-    order, to ``take(receiver, batch)``: the batch's magnitude spectra if
-    ``spectra``, else its frames.  The call's one worker thread, joined on
-    every exit, takes `_spectra` of a batch while the calling thread draws
-    the next steps, but only when it is idle; otherwise, and for a
-    receiver's last batch, the spectra are taken here.  A receiver's batch
-    on the worker is handed on before its next batch is submitted, and
-    another receiver's finished batch just after, so the worker does not
-    wait on the hand-off and at most two batches of spectra are alive at
-    once.  Returns, per receiver, None or the first error its framer or one
-    of its batches raised, after which its later batches go nowhere.  An
-    error of the stream itself is raised once the worker is joined.
+    drawn, so the stream is produced once.  Each batch's whole job,
+    ``job(frames, window)``, runs on the call's one worker thread (joined on
+    every exit) while the calling thread draws the next steps, and its
+    result goes, in order, to ``take(receiver, result)`` on the calling
+    thread.  A batch is queued on the worker while fewer batches than there
+    are receivers wait there, and always when its receiver already has one
+    waiting, once the queue has room; results are handed on from that one
+    queue in submission order, each as soon as it is done or the queue needs
+    the room.  Otherwise a batch runs here: when the queue is full and its
+    receiver has none waiting, and for a receiver's last batch, after its
+    waiting ones are handed on, as nothing is left to overlap it with.  So a
+    receiver's batches run in order, and at most two jobs, one per thread,
+    run at once.  Returns, per receiver, None or the first error its framer
+    or one of its batches raised; no later batch of that receiver runs.  An
+    error of the stream itself, or of ``take``, is raised once the worker is
+    joined.
     """
     framers = [(tail, _Framer(window_length, hop)) for tail, window_length, hop in receivers]
     errors = [None] * len(framers)
-    busy = None  # (receiver, future) of the batch whose spectra are on the worker
+    queue = deque()  # (receiver, future) of the batches on the worker, in submission order
+    waiting = [0] * len(framers)  # each receiver's batches in the queue
+    failed = set()  # receivers whose batch failed on the worker; only the worker touches it
     executor = ThreadPoolExecutor(max_workers=1)
 
-    def hand_on(r, future):
+    def run(r, frames, window):  # on the worker, in submission order
+        if r in failed:  # an earlier batch of r failed: this one goes nowhere
+            return None
         try:
-            take(r, future.result())
-        except Exception as exc:
-            errors[r] = exc
+            return job(frames, window)
+        except Exception:
+            failed.add(r)
+            raise
+
+    def hand_on():
+        r, future = queue.popleft()
+        waiting[r] -= 1
+        if errors[r] is None:
+            try:
+                result = future.result()
+            except Exception as exc:
+                errors[r] = exc
+            else:
+                take(r, result)
 
     def feed(r, frames, window, last=False):
-        nonlocal busy
-        if busy is not None and busy[0] == r:  # its previous batch first: its spectra
-            hand_on(*busy)                      # go before the next ones are made
-            busy = None
+        while queue and queue[0][1].done():
+            hand_on()
+        if last:
+            while waiting[r]:
+                hand_on()
+        elif waiting[r]:
+            while len(queue) >= len(framers):
+                hand_on()
         if errors[r] is not None:
             return
-        try:
-            if spectra and not last and (busy is None or busy[1].done()):
-                done, busy = busy, (r, executor.submit(_spectra, frames, window))
-                if done is not None:  # only now, so the worker does not wait for it
-                    hand_on(*done)
-            else:
-                take(r, _spectra(frames, window) if spectra else frames)
-        except Exception as exc:
-            errors[r] = exc
+        if last or len(queue) >= len(framers):
+            try:
+                result = job(frames, window)
+            except Exception as exc:
+                errors[r] = exc
+                return
+            take(r, result)
+        else:
+            queue.append((r, executor.submit(run, r, frames, window)))
+            waiting[r] += 1
 
     with executor:
         for step in steps:
@@ -268,8 +298,8 @@ def _receive(steps: Iterable, receivers: list, spectra: bool, take) -> list:
                     feed(r, frames, framer.window, last=True)
             except DomainError as exc:  # feed keeps its own errors: this is the framer's
                 errors[r] = exc
-        if busy is not None:  # a receiver whose stream ended with a full batch
-            hand_on(*busy)
+        while queue:  # receivers whose stream ended with a full batch
+            hand_on()
     return errors
 
 
@@ -304,7 +334,7 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         mags[filled:filled + batch.shape[0]] = batch
         filled += batch.shape[0]
 
-    error, = _receive(steps, [(0, window_length, hop)], True, fill)
+    error, = _receive(steps, [(0, window_length, hop)], _spectra, fill)
     if error is not None:
         raise error
     times = _frame_times(mags.shape[0], window_length, hop, fs)
@@ -380,7 +410,9 @@ def _track_zero_crossing(frames: np.ndarray, window_length: int, sample_rate: fl
 #: tracker name -> (batch function, confidence floor below which a slot is
 #: erased, whether the function takes a batch's magnitude spectra or else its
 #: frames); the function maps that, the window length and the sample rate to
-#: the frames' frequencies and confidences (zero-crossing's lie in [0, 1])
+#: the frames' frequencies and confidences (zero-crossing's lie in [0, 1]).
+#: A batch's spectra and its batch function are one job of `_receive`, run
+#: on its worker thread or on the calling thread.
 TRACKERS = {"stft": (_track_stft, 2.0, True), "zero_crossing": (_track_zero_crossing, 0.5, False)}
 
 
@@ -389,9 +421,10 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     """Track one stream with several receivers in lockstep.
 
     ``samples`` is a SensorTrace, a plain array or an iterator of steps (the
-    last two with ``sample_rate``) through `_receive`, which hands the
-    ``TRACKERS[tracker]`` batch function each batch of a receiver's frames
-    (or their spectra) as soon as it is complete.  ``receivers`` lists
+    last two with ``sample_rate``) through `_receive`, whose job for each
+    batch of a receiver's frames, as soon as it is complete, is the
+    ``TRACKERS[tracker]`` batch function of the frames (or of their
+    spectra, taken in the same job).  ``receivers`` lists
     ``(tail, window_length, hop)`` triples.  Returns, per receiver and in
     receiver order, its `FrequencyTrack` or the `DomainError` it ended with
     (a stream shorter than its window, which then never builds its window,
@@ -403,10 +436,10 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     fn, _, spectra = TRACKERS[tracker]
     results = [[] for _ in receivers]
 
-    def track(r, batch):
-        results[r].append(fn(batch, receivers[r][1], fs))
+    def track(frames, window):
+        return fn(_spectra(frames, window) if spectra else frames, window.size, fs)
 
-    errors = _receive(steps, receivers, spectra, track)
+    errors = _receive(steps, receivers, track, lambda r, result: results[r].append(result))
     return [_finish(batches, error, window_length, hop, fs)
             for (_, window_length, hop), batches, error in zip(receivers, results, errors)]
 

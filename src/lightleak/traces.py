@@ -76,8 +76,9 @@ class IntensityTrace(_Trace):
     transmitter full scale at reference geometry."""
 
     def _check_range(self, values):
-        if values.min() < 0.0:
-            raise DomainError("intensity values must be >= 0")
+        # NaN fails both comparisons; min and max take no temporary array
+        if not (values.min() >= 0.0 and values.max() < np.inf):
+            raise DomainError("intensity values must be finite and >= 0")
 
 
 class SensorTrace(_Trace):

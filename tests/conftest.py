@@ -9,7 +9,6 @@ model.
 
 import itertools
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -37,9 +36,11 @@ class ScriptedExecutor:
 
     It runs each job on the calling thread when its result is asked for, and
     its futures say whether they are done from ``script``, a sequence of
-    booleans read in a cycle.  ``events`` logs each ``("submit", future)``
-    and ``("result", future)`` in order; a future's ``returned`` is a weak
-    reference to what its result was.
+    booleans read in a cycle; with ``[True]`` every job the loop queues is
+    handed on, and so run, at the loop's next batch.  ``events`` logs each
+    ``("submit", future)`` and ``("result", future)`` in order; a future's
+    ``raised`` is the exception its job raised, or None.  A future lets go
+    of its job when it runs and keeps no result, so the log pins no batch.
     """
 
     def __init__(self, script):
@@ -64,17 +65,19 @@ class ScriptedExecutor:
 class _ScriptedFuture:
     def __init__(self, executor, fn, args):
         self._executor, self._job = executor, (fn, args)
-        self.returned = None
+        self.raised = None
 
     def done(self):
         return next(self._executor._script)
 
     def result(self):
         self._executor.events.append(("result", self))
-        fn, args = self._job
-        value = fn(*args)
-        self.returned = weakref.ref(value)
-        return value
+        (fn, args), self._job = self._job, None
+        try:
+            return fn(*args)
+        except Exception as exc:
+            self.raised = exc
+            raise
 
 
 @pytest.fixture

@@ -319,23 +319,36 @@ def _serial_track(x, window, hop, tracker):
     return np.concatenate(freqs), np.concatenate(confs)
 
 
-def _hand_on_places(events):
-    """Where the receive loop handed on each batch it gave a `ScriptedExecutor`,
-    from the executor's events and a ``("spectra", None)`` event per `_spectra`
-    call: just after submitting another batch, as its receiver's next batch
-    came, or in the final drain, after which nothing is left to do."""
-    places = []
-    for i, (kind, future) in enumerate(events):
-        if kind != "result":
-            continue
-        before = events[i - 1]
-        if before[0] == "submit" and before[1] is not future:
-            places.append("other")
-        elif i + 2 == len(events):  # its own spectra are the call's last
-            places.append("drain")
+def _hand_on_paths(events, receivers):
+    """The paths the receive loop took with a `ScriptedExecutor`, from the
+    executor's events and a ``("job", window_length)`` event per batch job.
+
+    A job that a result asked for ran on the (scripted) worker; any other
+    ran here.  ``"queued"``: two or more batches waited on the worker at
+    once; ``"full"``: a batch that is not its receiver's last ran here while
+    one batch per receiver waited; ``"last"``: a receiver's last batch ran
+    here after its batches on the worker.  Also checks that the batches are
+    handed on in the order they were submitted."""
+    submitted, resulted, most, here, last = [], [], 0, [], {}
+    for i, (kind, item) in enumerate(events):
+        if kind == "submit":
+            submitted.append(item)
+        elif kind == "result":
+            resulted.append(item)
         else:
-            places.append("own")
-    return places
+            last[item] = i
+            if events[i - 1][0] != "result":
+                here.append((i, item, len(submitted) - len(resulted)))
+        most = max(most, len(submitted) - len(resulted))
+    assert resulted == submitted[:len(resulted)]
+    worked = {events[i + 1][1] for i, (kind, _) in enumerate(events) if kind == "result"}
+    paths = {"queued"} if most >= 2 else set()
+    for i, window, waiting in here:
+        if last[window] == i:
+            paths |= {"last"} if window in worked else set()
+        elif waiting == len(receivers):
+            paths.add("full")
+    return paths
 
 
 def _tracks_equal(a, b):
@@ -424,29 +437,30 @@ class TestBlockEdges:
 
     def test_each_hand_on_matches_the_serial_reference(self, monkeypatch):
         # the scripts make the worker seem busy or idle at chosen batches, so
-        # that its batches are handed on at each place the loop has for it
+        # that the loop takes each of its paths for a batch, with either tracker
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
         # 2998 samples end the frames of (4, 3) with a full batch: its close gives none
         x = np.random.default_rng(5).integers(0, 2, 2998, dtype=np.uint8)
         receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
-        spectra, places = dsp._spectra, set()
-        for script in [(False,), (True,), (True, False), (False, False, True)]:
-            executor = ScriptedExecutor(script)
+        for tracker, (fn, floor, spectra) in list(dsp.TRACKERS.items()):
+            want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
+            paths = set()
+            for script in [(False,), (True,), (True, False), (False, False, True)]:
+                executor = ScriptedExecutor(script)
 
-            def logged(frames, window):
-                executor.events.append(("spectra", None))
-                return spectra(frames, window)
+                def logged(batch, window_length, sample_rate, fn=fn, events=executor.events):
+                    events.append(("job", window_length))
+                    return fn(batch, window_length, sample_rate)
 
-            monkeypatch.setattr(dsp, "ThreadPoolExecutor", executor)
-            monkeypatch.setattr(dsp, "_spectra", logged)
-            got = dsp.track_all(x, receivers, "stft", FS)
-            places.update(_hand_on_places(executor.events))
-            for (_, window, hop), track in zip(receivers, got, strict=True):
-                freqs, confs = _serial_track(x, window, hop, "stft")
-                assert np.array_equal(track.frequencies, freqs)
-                assert np.array_equal(track.confidences, confs)
-        assert places == {"own", "other", "drain"}
+                monkeypatch.setattr(dsp, "ThreadPoolExecutor", executor)
+                monkeypatch.setitem(dsp.TRACKERS, tracker, (logged, floor, spectra))
+                got = dsp.track_all(x, receivers, tracker, FS)
+                paths |= _hand_on_paths(executor.events, receivers)
+                for track, (freqs, confs) in zip(got, want, strict=True):
+                    assert np.array_equal(track.frequencies, freqs)
+                    assert np.array_equal(track.confidences, confs)
+            assert paths == {"queued", "full", "last"}, tracker
 
     def test_at_most_two_batches_of_spectra_are_alive(self, monkeypatch):
         spectra, made, most = dsp._spectra, [], 0

@@ -1,5 +1,6 @@
 """Trace and schedule files: property-tested round trips, fuzzed input, memory."""
 
+import math
 import os
 import struct
 import threading
@@ -128,6 +129,18 @@ def test_binary_trace_holds_exactly_its_values_or_refuses_them(cls, values):
     else:
         with pytest.raises(DomainError, match="exactly 0 or 1"):
             cls(1000.0, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), st.integers(-300, 300)), max_size=20))
+@example(values=[float("nan"), 1.0])
+@example(values=[float("inf")])
+def test_intensity_trace_holds_finite_non_negative_values_or_refuses_them(values):
+    if all(math.isfinite(v) and v >= 0 for v in values):
+        assert IntensityTrace(1000.0, values).values.tolist() == [float(v) for v in values]
+    else:
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            IntensityTrace(1000.0, values)
 
 
 @pytest.mark.parametrize("trace", [

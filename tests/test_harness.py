@@ -1,7 +1,6 @@
 """Pipeline orchestration, sweeps, and the on-disk formats."""
 
 import collections
-import concurrent.futures
 import inspect
 import threading
 import tracemalloc
@@ -137,9 +136,17 @@ class TestRunEndToEnd:
         assert len(calls) == 1
 
 
+def _import_scipy() -> None:
+    """Import the scipy modules the link loads on first use, so that the
+    first traced run of a process does not count them (about 40 MB)."""
+    import scipy.fft  # noqa: F401
+    import scipy.signal  # noqa: F401
+
+
 def _traced_peak(config, alphabet, payload) -> tuple[int, int]:
     """Peak bytes traced (numpy buffers included) while one transmission runs,
     and the samples it ran."""
+    _import_scipy()
     tracemalloc.start()
     try:
         result = ll.run_end_to_end(config, alphabet, payload)
@@ -162,30 +169,13 @@ def test_peak_memory_flat_in_transmission_length():
     assert long - short < 0.25 * (long_n - short_n)
 
 
-class _SerialExecutor(concurrent.futures.Executor):
-    """A stand-in for `concurrent.futures.ThreadPoolExecutor`, patched in as
-    ``dsp.ThreadPoolExecutor``, that runs each job at once on the calling
-    thread: the worker is always idle, so the receive loop hands it every
-    batch but each receiver's last, in one fixed order."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def _sweep_peak(payload: bytes) -> int:
     """Peak bytes traced while a four-window criterion-7 sweep runs one trial.
 
-    The spectra run on the calling thread (`_SerialExecutor`): with a real
-    worker, whether two batches' spectra are alive at once depends on the
-    threads' timing, which moved the peak of one sweep by 7 MB between runs.
+    The batches run on the calling thread (a `ScriptedExecutor` that is
+    always done): with a real worker, whether two batches' spectra are alive
+    at once depends on the threads' timing, which moved the peak of one
+    sweep by 7 MB between runs.
     """
     spec = harness.SweepSpec(
         parameter="window_length", values=(1024, 2048, 4096, 8192), trials=1,
@@ -194,13 +184,11 @@ def _sweep_peak(payload: bytes) -> int:
         alphabet=ll.SymbolAlphabet(level_zero=120, level_one=140, level_delimiter=130,
                                    symbol_period=0.00075),
         payload=payload, seed=1)
-    # imported before tracing, so that the first sweep of a run does not count them
-    import scipy.fft  # noqa: F401
-    import scipy.signal  # noqa: F401
+    _import_scipy()
     tracemalloc.start()
     try:
         with warnings.catch_warnings(), \
-                mock.patch.object(dsp, "ThreadPoolExecutor", _SerialExecutor):
+                mock.patch.object(dsp, "ThreadPoolExecutor", ScriptedExecutor([True])):
             warnings.simplefilter("ignore", UserWarning)
             points = harness.sweep(spec)
         peak = tracemalloc.get_traced_memory()[1]
@@ -225,6 +213,7 @@ def _noise_sweep_peak(payload: bytes, trials: int) -> tuple[int, int]:
         parameter="noise_sigma", values=(0.0, 0.002, 0.01, 0.05), trials=trials,
         config=ll.ChannelConfig(distance=0.3, fade_duration=0.001, max_command_rate=1000.0),
         alphabet=ll.SymbolAlphabet(symbol_period=0.003), payload=payload, seed=1)
+    _import_scipy()
     tracemalloc.start()
     try:
         points = harness.sweep(spec)
@@ -432,16 +421,15 @@ class TestReceiveAll:
         config, alphabet = fast_link
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
         # on the worker thread, then on a scripted worker that is always done,
-        # so that every batch but a receiver's last is handed on from it
+        # where the failing batch is one handed on from the worker
         for scripted in (None, ScriptedExecutor([True])):
             if scripted is not None:
                 monkeypatch.setattr(dsp, "ThreadPoolExecutor", scripted)
-            batches, failed = collections.Counter(), []
+            batches = collections.Counter()
 
             def flaky(mags, window_length, sample_rate):  # the 2048 window fails its second batch
                 batches[window_length] += 1
                 if window_length == 2048 and batches[2048] == 2:
-                    failed.append(mags)
                     raise DomainError("the second batch failed")
                 return track(mags, window_length, sample_rate)
 
@@ -455,8 +443,7 @@ class TestReceiveAll:
             assert str(bad) == "the second batch failed"
             assert batches[2048] == 2  # no later batch of that receiver is tracked
             assert batches[4096] > 4
-        assert any(future.returned() is failed[0] for kind, future in scripted.events
-                   if kind == "result")
+        assert any(future.raised is bad for kind, future in scripted.events if kind == "result")
 
 
 def _record_threads(monkeypatch, idents: list) -> None:
@@ -476,25 +463,26 @@ def _record_threads(monkeypatch, idents: list) -> None:
 
 
 def test_public_functions_run_on_the_calling_thread(fast_link, monkeypatch):
-    public, batches = [], []
+    public = []
     _record_threads(monkeypatch, public)
-    spectra = dsp._spectra
-
-    def recorded(frames, window):
-        batches.append(threading.get_ident())
-        return spectra(frames, window)
-
-    monkeypatch.setattr(dsp, "_spectra", recorded)
     config, alphabet = fast_link
-    assert ll.run_end_to_end(config, alphabet, b"\x41").report.ber == 0.0
-    assert len(batches) > 1
     schedule, duration = harness.transmit(config, alphabet, b"\x5a")
-    steps = channel.link_blocks(schedule, [config, config.replace(distance=0.4)], duration)
-    tracks = dsp.track_all(steps, [(0, 4096, 2048), (1, 2048, 1024)],
-                           sample_rate=config.sample_rate)
-    assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
+    for tracker, (fn, floor, spectra) in list(dsp.TRACKERS.items()):
+        batches = []
+
+        def recorded(batch, window_length, sample_rate, fn=fn, batches=batches):
+            batches.append(threading.get_ident())
+            return fn(batch, window_length, sample_rate)
+
+        monkeypatch.setitem(dsp.TRACKERS, tracker, (recorded, floor, spectra))
+        assert ll.run_end_to_end(config, alphabet, b"\x41", tracker=tracker).report.ber == 0.0
+        assert len(batches) > 1
+        steps = channel.link_blocks(schedule, [config, config.replace(distance=0.4)], duration)
+        tracks = dsp.track_all(steps, [(0, 4096, 2048), (1, 2048, 1024)], tracker,
+                               sample_rate=config.sample_rate)
+        assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
+        assert set(batches) - {threading.get_ident()}, tracker  # some ran on the worker
     assert set(public) == {threading.get_ident()}
-    assert set(batches) - {threading.get_ident()}  # some batches' spectra ran on the worker
 
 
 class TestSweep:
