@@ -17,20 +17,18 @@ spectrogram fill).  A stream yields one block per tail at each step, as
 a ``(tail, window_length, hop)`` triple.
 
 The receive loop opens one worker thread for the call, joined on its every
-exit, that runs each batch's whole job (for a tracker, the batch's magnitude
-spectra and the tracker's batch function; for `stft`, the spectra) while
-the calling thread draws (for a link: renders) the next blocks; the FFT and
-numpy's large loops release the GIL.  Only private functions run on the
-worker: every public function runs on the calling thread.  A batch is queued
-on the worker while fewer batches than there are receivers wait there, and
-always when its receiver already has one waiting, so a receiver's batches
-run in order; otherwise it runs on the calling thread, and so does a
-receiver's last batch, once its queued ones are handed on, as nothing is
-left to overlap it with.  Results are handed on from one queue in
-submission order.  A tracker's spectra are made and consumed within one
-job, so at most two batches of spectra are alive at once, and each frame's
-results depend on that frame alone, so the output is bit for bit that of a
-serial run.
+exit, and every batch's whole job (for a tracker, the batch's magnitude
+spectra and the tracker's batch function; for `stft`, the spectra) runs
+there, one job at a time in submission order, while the calling thread draws
+(for a link: renders) the next blocks, cuts frames, submits jobs and hands
+results on; the FFT and numpy's large loops release the GIL.  Only private
+functions run on the worker: every public function runs on the calling
+thread.  No more batches than there are receivers wait on the worker, and
+results are handed on from that one queue in submission order, so a
+receiver's batches are taken in order.  A tracker's spectra are made and
+consumed within one job, so at most one batch of spectra is alive at a time,
+and each frame's results depend on that frame alone, so the output is bit
+for bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -222,26 +220,20 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
 
     Every step goes to every receiver's `_Framer` before the next step is
     drawn, so the stream is produced once.  Each batch's whole job,
-    ``job(frames, window)``, runs on the call's one worker thread (joined on
-    every exit) while the calling thread draws the next steps, and its
-    result goes, in order, to ``take(receiver, result)`` on the calling
-    thread.  A batch is queued on the worker while fewer batches than there
-    are receivers wait there, and always when its receiver already has one
-    waiting, once the queue has room; results are handed on from that one
-    queue in submission order, each as soon as it is done or the queue needs
-    the room.  Otherwise a batch runs here: when the queue is full and its
-    receiver has none waiting, and for a receiver's last batch, after its
-    waiting ones are handed on, as nothing is left to overlap it with.  So a
-    receiver's batches run in order, and at most two jobs, one per thread,
-    run at once.  Returns, per receiver, None or the first error its framer
-    or one of its batches raised; no later batch of that receiver runs.  An
-    error of the stream itself, or of ``take``, is raised once the worker is
-    joined.
+    ``job(frames, window)``, is submitted to the call's one worker thread
+    (joined on every exit), which runs the jobs one at a time in submission
+    order while the calling thread draws the next steps; no job runs on the
+    calling thread.  Results go, from that one queue and in submission
+    order, to ``take(receiver, result)`` on the calling thread: each as soon
+    as it is done, and the oldest, waited for, before a batch would make
+    more batches queued than there are receivers.  Returns, per receiver,
+    None or the first error its framer or one of its batches raised; no
+    later batch of that receiver runs.  An error of the stream itself, or of
+    ``take``, is raised once the worker is joined.
     """
     framers = [(tail, _Framer(window_length, hop)) for tail, window_length, hop in receivers]
     errors = [None] * len(framers)
     queue = deque()  # (receiver, future) of the batches on the worker, in submission order
-    waiting = [0] * len(framers)  # each receiver's batches in the queue
     failed = set()  # receivers whose batch failed on the worker; only the worker touches it
     executor = ThreadPoolExecutor(max_workers=1)
 
@@ -256,7 +248,6 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
 
     def hand_on():
         r, future = queue.popleft()
-        waiting[r] -= 1
         if errors[r] is None:
             try:
                 result = future.result()
@@ -265,27 +256,10 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
             else:
                 take(r, result)
 
-    def feed(r, frames, window, last=False):
-        while queue and queue[0][1].done():
+    def feed(r, frames, window):
+        while queue and (len(queue) >= len(framers) or queue[0][1].done()):
             hand_on()
-        if last:
-            while waiting[r]:
-                hand_on()
-        elif waiting[r]:
-            while len(queue) >= len(framers):
-                hand_on()
-        if errors[r] is not None:
-            return
-        if last or len(queue) >= len(framers):
-            try:
-                result = job(frames, window)
-            except Exception as exc:
-                errors[r] = exc
-                return
-            take(r, result)
-        else:
-            queue.append((r, executor.submit(run, r, frames, window)))
-            waiting[r] += 1
+        queue.append((r, executor.submit(run, r, frames, window)))  # run skips a failed r
 
     with executor:
         for step in steps:
@@ -295,10 +269,10 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
         for r, (_, framer) in enumerate(framers):
             try:
                 if errors[r] is None and (frames := framer.close()) is not None:
-                    feed(r, frames, framer.window, last=True)
-            except DomainError as exc:  # feed keeps its own errors: this is the framer's
+                    feed(r, frames, framer.window)
+            except DomainError as exc:  # a stream shorter than the receiver's window
                 errors[r] = exc
-        while queue:  # receivers whose stream ended with a full batch
+        while queue:
             hand_on()
     return errors
 
@@ -412,7 +386,7 @@ def _track_zero_crossing(frames: np.ndarray, window_length: int, sample_rate: fl
 #: frames); the function maps that, the window length and the sample rate to
 #: the frames' frequencies and confidences (zero-crossing's lie in [0, 1]).
 #: A batch's spectra and its batch function are one job of `_receive`, run
-#: on its worker thread or on the calling thread.
+#: on its worker thread, one job at a time.
 TRACKERS = {"stft": (_track_stft, 2.0, True), "zero_crossing": (_track_zero_crossing, 0.5, False)}
 
 

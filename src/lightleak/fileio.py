@@ -66,8 +66,8 @@ def import_trace(path) -> SensorTrace:
         if encoding != UINT8_ENCODING:
             raise TraceFormatError(f"value encoding {encoding} is not uint8 "
                                    f"(encoding {UINT8_ENCODING})", ENCODING_OFFSET)
-        if not sample_rate > 0:
-            raise TraceFormatError(f"sample rate must be > 0, got {sample_rate}",
+        if not 0 < sample_rate < np.inf:  # NaN fails both comparisons
+            raise TraceFormatError(f"sample rate must be finite and > 0, got {sample_rate}",
                                    SAMPLE_RATE_OFFSET)
         if stat.S_ISREG(st.st_mode) and st.st_size < _HEADER.size + count:
             raise TraceFormatError(

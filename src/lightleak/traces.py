@@ -32,8 +32,8 @@ class _Trace:
         values = np.asarray(self.values)
         if values.ndim != 1:
             raise DomainError(f"trace values must be one-dimensional, got shape {values.shape}")
-        if self.sample_rate <= 0:
-            raise DomainError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < np.inf:  # NaN fails both comparisons
+            raise DomainError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if values.size:  # before the cast, which would read 0.5 and 256 as a binary 0
             self._check_range(values)
         object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=self._dtype))

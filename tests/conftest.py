@@ -34,10 +34,13 @@ class ScriptedExecutor:
     """A stand-in for `concurrent.futures.ThreadPoolExecutor`, patched in as
     ``dsp.ThreadPoolExecutor``, that makes the receive loop deterministic.
 
-    It runs each job on the calling thread when its result is asked for, and
+    The loop submits every batch's job to it.  It runs each job on the
+    calling thread when its result is asked for, in place of the worker, and
     its futures say whether they are done from ``script``, a sequence of
-    booleans read in a cycle; with ``[True]`` every job the loop queues is
-    handed on, and so run, at the loop's next batch.  ``events`` logs each
+    booleans read in a cycle: with ``[True]`` every job is handed on, and so
+    run, at the loop's next batch; with ``[False]`` only once as many
+    batches as there are receivers are queued, or the stream has ended.
+    ``events`` logs each
     ``("submit", future)`` and ``("result", future)`` in order; a future's
     ``raised`` is the exception its job raised, or None.  A future lets go
     of its job when it runs and keeps no result, so the log pins no batch.

@@ -319,38 +319,6 @@ def _serial_track(x, window, hop, tracker):
     return np.concatenate(freqs), np.concatenate(confs)
 
 
-def _hand_on_paths(events, receivers):
-    """The paths the receive loop took with a `ScriptedExecutor`, from the
-    executor's events and a ``("job", window_length)`` event per batch job.
-
-    A job that a result asked for ran on the (scripted) worker; any other
-    ran here.  ``"queued"``: two or more batches waited on the worker at
-    once; ``"full"``: a batch that is not its receiver's last ran here while
-    one batch per receiver waited; ``"last"``: a receiver's last batch ran
-    here after its batches on the worker.  Also checks that the batches are
-    handed on in the order they were submitted."""
-    submitted, resulted, most, here, last = [], [], 0, [], {}
-    for i, (kind, item) in enumerate(events):
-        if kind == "submit":
-            submitted.append(item)
-        elif kind == "result":
-            resulted.append(item)
-        else:
-            last[item] = i
-            if events[i - 1][0] != "result":
-                here.append((i, item, len(submitted) - len(resulted)))
-        most = max(most, len(submitted) - len(resulted))
-    assert resulted == submitted[:len(resulted)]
-    worked = {events[i + 1][1] for i, (kind, _) in enumerate(events) if kind == "result"}
-    paths = {"queued"} if most >= 2 else set()
-    for i, window, waiting in here:
-        if last[window] == i:
-            paths |= {"last"} if window in worked else set()
-        elif waiting == len(receivers):
-            paths.add("full")
-    return paths
-
-
 def _tracks_equal(a, b):
     return (np.array_equal(a.frame_times, b.frame_times)
             and np.array_equal(a.frequencies, b.frequencies)
@@ -420,49 +388,73 @@ class TestBlockEdges:
         assert np.array_equal(np.concatenate(frames), sliding_window_view(x, window)[::hop])
         assert np.array_equal(framer.window, hann_window(window))
 
-    # several receivers, whose batches share the one worker
-    @pytest.mark.parametrize("tracker", sorted(dsp.TRACKERS))
-    def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker):
+    # several receivers, whose batches share the one worker: a real one, and
+    # scripted ones that seem busy or idle at chosen batches
+    @pytest.mark.parametrize("tracker, script", [
+        pytest.param(tracker, script, id="-".join([tracker, *map(str, script or ())]))
+        for tracker in sorted(dsp.TRACKERS)
+        for script in (None, (False,), (True,), (True, False), (False, False, True))])
+    def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker, script):
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
-        x = np.random.default_rng(3).integers(0, 2, 3000, dtype=np.uint8)
+        # 2998 samples end the frames of (8, 8) and (64, 4) with a short batch, which
+        # `close` gives, and those of the others with a full one
+        x = np.random.default_rng(3).integers(0, 2, 2998, dtype=np.uint8)
         receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
+        want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
+        executor = dsp.ThreadPoolExecutor if script is None else ScriptedExecutor(script)
+        fn, floor, spectra = dsp.TRACKERS[tracker]
+        receive, log, ran = dsp._receive, [], []
+
+        def pool(max_workers):  # logs each batch's receiver as it is submitted
+            pool = executor(max_workers=max_workers)
+            submit = pool.submit
+
+            def logged(run, r, *args):
+                log.append(("submit", r))
+                return submit(run, r, *args)
+
+            pool.submit = logged
+            return pool
+
+        def logged_receive(steps, receivers, job, take):  # logs each receiver handed a result
+            def logged(r, result):
+                log.append(("take", r))
+                take(r, result)
+
+            return receive(steps, receivers, job, logged)
+
+        def logged_fn(batch, window_length, sample_rate):  # logs where each job runs
+            if script is None:
+                ran.append(threading.get_ident())
+            else:  # the call a scripted job runs in is the last one logged
+                ran.append(executor.events[-1][0])
+                executor.events.append(("job", window_length))
+            return fn(batch, window_length, sample_rate)
+
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(dsp, "_receive", logged_receive)
+        monkeypatch.setitem(dsp.TRACKERS, tracker, (logged_fn, floor, spectra))
         got = dsp.track_all(x, receivers, tracker, FS)
-        for (_, window, hop), track in zip(receivers, got, strict=True):
-            freqs, confs = _serial_track(x, window, hop, tracker)
+        for (_, window, hop), track, (freqs, confs) in zip(receivers, got, want, strict=True):
             assert np.array_equal(track.frequencies, freqs)
             assert np.array_equal(track.confidences, confs)
             assert np.array_equal(track.frame_times,
                                   dsp._frame_times(freqs.size, window, hop, FS))
+        # handed on in submission order, with no more batches queued than receivers
+        submitted = [r for kind, r in log if kind == "submit"]
+        assert [r for kind, r in log if kind == "take"] == submitted
+        queued = np.cumsum([1 if kind == "submit" else -1 for kind, _ in log]).max()
+        assert queued <= len(receivers)
+        if script == (False,):  # a worker that never seems done fills the queue
+            assert queued == len(receivers)
+        assert len(ran) == len(submitted)
+        if script is None:
+            assert threading.get_ident() not in ran
+        else:  # every job ran inside a future's result(), that is, on the worker
+            assert set(ran) == {"result"}
 
-    def test_each_hand_on_matches_the_serial_reference(self, monkeypatch):
-        # the scripts make the worker seem busy or idle at chosen batches, so
-        # that the loop takes each of its paths for a batch, with either tracker
-        monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
-        monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
-        # 2998 samples end the frames of (4, 3) with a full batch: its close gives none
-        x = np.random.default_rng(5).integers(0, 2, 2998, dtype=np.uint8)
-        receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
-        for tracker, (fn, floor, spectra) in list(dsp.TRACKERS.items()):
-            want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
-            paths = set()
-            for script in [(False,), (True,), (True, False), (False, False, True)]:
-                executor = ScriptedExecutor(script)
-
-                def logged(batch, window_length, sample_rate, fn=fn, events=executor.events):
-                    events.append(("job", window_length))
-                    return fn(batch, window_length, sample_rate)
-
-                monkeypatch.setattr(dsp, "ThreadPoolExecutor", executor)
-                monkeypatch.setitem(dsp.TRACKERS, tracker, (logged, floor, spectra))
-                got = dsp.track_all(x, receivers, tracker, FS)
-                paths |= _hand_on_paths(executor.events, receivers)
-                for track, (freqs, confs) in zip(got, want, strict=True):
-                    assert np.array_equal(track.frequencies, freqs)
-                    assert np.array_equal(track.confidences, confs)
-            assert paths == {"queued", "full", "last"}, tracker
-
-    def test_at_most_two_batches_of_spectra_are_alive(self, monkeypatch):
+    def test_at_most_one_batch_of_spectra_is_alive(self, monkeypatch):
         spectra, made, most = dsp._spectra, [], 0
 
         def counted(frames, window):
@@ -480,7 +472,7 @@ class TestBlockEdges:
         tracks = dsp.track_all(x, receivers, sample_rate=FS)
         assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
         assert len(made) > 50
-        assert most <= 2
+        assert most == 1
 
     def test_a_stream_error_joins_the_worker(self, monkeypatch):
         spectra = dsp._spectra

@@ -89,6 +89,7 @@ class TestTraceFileProperties:
     @pytest.mark.parametrize("field, value, offset", [
         ("sample_rate", 0.0, fileio.SAMPLE_RATE_OFFSET),
         ("sample_rate", float("nan"), fileio.SAMPLE_RATE_OFFSET),
+        ("sample_rate", float("inf"), fileio.SAMPLE_RATE_OFFSET),
         ("sample", 7, fileio._HEADER.size),
         # level, PWM and intensity traces, and float64 samples, are not read
         ("kind", 1, fileio.KIND_OFFSET),
@@ -141,6 +142,12 @@ def test_intensity_trace_holds_finite_non_negative_values_or_refuses_them(values
     else:
         with pytest.raises(DomainError, match="finite and >= 0"):
             IntensityTrace(1000.0, values)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+def test_trace_refuses_a_sample_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(DomainError, match="sample_rate must be finite and > 0"):
+        SensorTrace(rate, np.array([0, 1], np.uint8))
 
 
 @pytest.mark.parametrize("trace", [
