@@ -13,6 +13,20 @@ and ``pwm_wave`` take absolute sample indices and carry no state, and
 (filter output, oscillator phase); ``square_wave`` returns its end phase
 with the block.  Rendering a trace block by block therefore gives the same
 bits as one pass over it.
+
+``pwm_wave`` works per PWM period, not per sample: it finds each period's
+opening and the end of its on-run from an estimate and an exact fix-up on
+the phase ``i * step``, asks ``level_fill`` for the level at the openings
+only, and writes the wave once, from its run lengths.  The sensor's two
+kernels touch every sample: ``lowpass`` once (the ``lfilter`` recurrence),
+``square_wave`` five times (divide, ``cumsum``, floor, subtract, compare).
+These two recurrences have no faster form with the same bits.
+
+Each kernel returns arrays it allocated itself and writes into no array it
+is given (``level_fill`` writes into ``out`` when given one): the waves are
+new uint8 arrays, ``lowpass`` returns the array ``lfilter`` made, and
+``square_wave`` keeps its steps and phase in two arrays of its own.  So a
+caller may overwrite what ``lowpass`` returns, and may keep every wave.
 """
 
 from __future__ import annotations
@@ -65,18 +79,35 @@ def pwm_wave(level_at, step: float, start: int, stop: int) -> np.ndarray:
     """
     if stop == start:
         return np.zeros(0, dtype=np.uint8)
-    phase = np.arange(start, stop, dtype=np.float64)
-    phase *= step
-    first, last = math.floor(phase[0]), math.floor(phase[-1])
-    # floor(x) >= p exactly when x >= p: a search of the phases finds each opening
-    opens = np.searchsorted(phase, np.arange(first + 1, last + 1, dtype=np.float64))
-    # the period open at start opened within a sample of ceil(p / step)
-    c = math.ceil(first / step)
-    opened = next(j for j in (c - 1, c, c + 1) if j * step >= first)
-    duties = level_at(np.concatenate(([opened], start + opens))) / 255.0
-    phase -= np.floor(phase)  # the within-period phase, exact
-    counts = np.diff(opens, prepend=0, append=stop - start)
-    return (phase < np.repeat(duties, counts)).view(np.uint8)
+    periods = np.arange(math.floor(start * step), math.floor((stop - 1) * step) + 1,
+                        dtype=np.float64)
+    # period p opens at the first sample whose phase reaches p: the first
+    # period at or before start, the others inside the block
+    opens = _reach(step, periods, 0.0).astype(np.int64)
+    duties = level_at(opens) / 255.0
+    # a period's part of the block is on until its within-period phase, exact
+    # as ``i * step - p``, reaches its duty, and off from there
+    edges = np.empty(2 * periods.size + 1, dtype=np.int64)
+    edges[0], edges[2:-1:2], edges[-1] = start, opens[1:], stop
+    edges[1::2] = np.clip(_reach(step, periods, duties), edges[0:-1:2], edges[2::2])
+    on_off = np.ones(2 * periods.size, dtype=np.uint8)
+    on_off[1::2] = 0
+    return np.repeat(on_off, edges[1:] - edges[:-1])
+
+
+def _reach(step: float, p: np.ndarray, t) -> np.ndarray:
+    """Elementwise, the first sample ``i`` with ``i * step - p >= t``.
+
+    The phase ``i * step`` never falls as ``i`` grows, so the estimate
+    ``ceil((p + t) / step)`` is fixed up one sample at a time on that test.
+    Sample indices are whole numbers below 2**53, exact in float64.
+    """
+    i = np.ceil((p + t) / step)
+    while np.count_nonzero(back := (i - 1.0) * step - p >= t):
+        i -= back
+    while np.count_nonzero(ahead := i * step - p < t):
+        i += ahead
+    return i
 
 
 def lowpass(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:
@@ -107,5 +138,7 @@ def square_wave(freq: np.ndarray, sample_rate: float,
     # same sum as carrying it through a single pass
     steps[0] += phi
     phase = np.cumsum(steps)
-    # the phase is non-negative, so its fraction is exact: high in each cycle's second half
-    return (phase - np.floor(phase) >= 0.5).view(np.uint8), float(phase[-1])
+    # the phase is non-negative, so its fraction is exact: high in each
+    # cycle's second half; the steps are spent, and hold it
+    frac = np.subtract(phase, np.floor(phase, out=steps), out=steps)
+    return (frac >= 0.5).view(np.uint8), float(phase[-1])

@@ -11,6 +11,13 @@ The link is streamed (`link_blocks`): one source renders the PWM waveform
 tail per config, the optical path and the sensor, so configs that differ
 only in tail fields share the source.  Each step yields one block per tail; a single link is the
 one-tail case, and `simulate_link` joins its blocks into one trace.
+
+The tails of a link take turns with one light buffer and one for the scaled
+noise draw, both allocated with the first block.  A tail writes its light
+there (the 0/1 waveform takes two values, computed once), the low-pass
+reads it into an array of its own, and the frequency mapping overwrites
+that array in place.  Only each tail's square wave is new at every block,
+since the receiver keeps the blocks it is handed.
 """
 
 from __future__ import annotations
@@ -41,14 +48,24 @@ def source_key(config: ChannelConfig) -> tuple:
                  if f.name not in TAIL_FIELDS)
 
 
-def _light(pwm: np.ndarray, config: ChannelConfig, z: np.ndarray | None) -> np.ndarray:
-    """``pwm * gain + ambient + noise_sigma * z``, clamped at 0 (``z`` unread without noise)."""
-    values = pwm * config.geometric_gain
+def _light(pwm: np.ndarray, config: ChannelConfig, z: np.ndarray | None,
+           out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``pwm * gain + ambient + noise_sigma * z``, clamped at 0, into ``out``.
+
+    The 0/1 waveform takes two values before the noise, so each is computed
+    once.  ``z`` is unread without noise; with it, ``scratch`` (a new array
+    if None) takes ``noise_sigma * z``.
+    """
+    off, on = 0.0 * config.geometric_gain, 1.0 * config.geometric_gain
     if config.ambient_intensity:
-        values += config.ambient_intensity
+        off, on = off + config.ambient_intensity, on + config.ambient_intensity
+    np.copyto(out, off)
+    np.copyto(out, on, where=pwm.view(bool))
     if config.noise_sigma > 0:
-        values += config.noise_sigma * z
-    return np.maximum(values, 0.0, out=values)
+        out += np.multiply(z, config.noise_sigma, out=scratch)
+    elif off >= 0 and on >= 0:
+        return out  # the clamp cannot act
+    return np.maximum(out, 0.0, out=out)
 
 
 def propagate(pwm: PwmTrace, config: ChannelConfig) -> IntensityTrace:
@@ -62,7 +79,8 @@ def propagate(pwm: PwmTrace, config: ChannelConfig) -> IntensityTrace:
     z = None
     if config.noise_sigma > 0:
         z = np.random.default_rng(config.rng_seed).standard_normal(pwm.values.size)
-    return IntensityTrace(pwm.sample_rate, _light(pwm.values, config, z))
+    light = _light(pwm.values, config, z, np.empty(pwm.values.size), scratch=z)
+    return IntensityTrace(pwm.sample_rate, light)
 
 
 def _oscillate(x: np.ndarray, config: ChannelConfig, y: float,
@@ -77,10 +95,13 @@ def _oscillate(x: np.ndarray, config: ChannelConfig, y: float,
         alpha = 1.0 - math.exp(-1.0 / (tau * config.sample_rate))
     else:
         alpha = 1.0
-    filtered = _kernels.lowpass(x, alpha, y)
-    freq = config.sensor_dark_frequency + filtered * config.sensor_full_scale_frequency
+    freq = _kernels.lowpass(x, alpha, y)
+    y = float(freq[-1])
+    # dark + filtered * full_scale, in the array the filter returned
+    np.multiply(freq, config.sensor_full_scale_frequency, out=freq)
+    freq += config.sensor_dark_frequency
     wave, phi = _kernels.square_wave(freq, config.sample_rate, phi)
-    return wave, float(filtered[-1]), phi
+    return wave, y, phi
 
 
 def sensor_response(intensity: IntensityTrace, config: ChannelConfig) -> SensorTrace:
@@ -152,10 +173,13 @@ def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndar
     # (filter output, oscillator phase) per tail; the filter starts in
     # steady state at the first sample
     carry = [(None, 0.0)] * len(configs)
+    light = scaled = None
     for pwm, z in source:
+        if light is None:  # the first block is the longest
+            light, scaled = np.empty(pwm.size), np.empty(pwm.size)
         waves = []
         for k, config in enumerate(configs):
-            x = _light(pwm, config, z)
+            x = _light(pwm, config, z, light[:pwm.size], scaled[:pwm.size])
             y, phi = carry[k]
             wave, y, phi = _oscillate(x, config, x[0] if y is None else y, phi)
             carry[k] = (y, phi)

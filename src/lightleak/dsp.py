@@ -104,12 +104,15 @@ def _as_stream(samples, sample_rate) -> tuple[Iterable[tuple[np.ndarray, ...]], 
         samples, sample_rate = samples.values, samples.sample_rate
     elif sample_rate is None:
         raise DomainError("sample_rate is required for plain arrays and block streams")
+    sample_rate = float(sample_rate)
+    if not 0 < sample_rate < np.inf:  # NaN fails both comparisons
+        raise DomainError(f"sample_rate must be finite and > 0, got {sample_rate}")
     if not isinstance(samples, Iterator):
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise DomainError(f"samples must be one-dimensional, got shape {samples.shape}")
         samples = ((block,) for block in traces.blocks(samples))
-    return samples, float(sample_rate)
+    return samples, sample_rate
 
 
 def check_framing(window_length: int, hop: int) -> None:

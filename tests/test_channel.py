@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import measured_frequency
 
@@ -65,6 +66,31 @@ class TestPropagate:
         assert out.values.min() == 0.0
 
 
+# light, and the standard normals ``z`` it may scale, over 1 to 300 samples
+@settings(max_examples=200, deadline=None)
+@given(pwm=arrays(np.bool_, st.integers(1, 300)), distance=st.floats(0.01, 10.0),
+       angle=st.floats(0.0, 1.5), ambient=st.floats(-1.0, 1.0), sigma=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pwm=np.array([True, False, True]), distance=0.1, angle=0.0, ambient=0.0,
+         sigma=0.5, seed=1)
+@example(pwm=np.array([True, False, False]), distance=0.3, angle=0.2, ambient=-0.05,
+         sigma=0.0, seed=2)
+@example(pwm=np.array([False, True, True]), distance=0.1, angle=0.0, ambient=0.01,
+         sigma=0.0, seed=3)
+def test_light_is_the_per_sample_formula(pwm, distance, angle, ambient, sigma, seed):
+    """`channel._light` writes ``max(pwm * gain + ambient + sigma * z, 0)`` into
+    its buffer, bit for bit, whatever it skips."""
+    config = ChannelConfig(distance=distance, angle=angle, ambient_intensity=ambient,
+                           noise_sigma=sigma)
+    pwm = pwm.view(np.uint8)
+    z = np.random.default_rng(seed).standard_normal(pwm.size)
+    expected = np.maximum(pwm * config.geometric_gain + ambient + sigma * z, 0.0)
+    for scratch in (None, np.empty(pwm.size)):
+        out = np.full(pwm.size, np.nan)
+        assert channel._light(pwm, config, z.copy(), out, scratch) is out
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 class TestSensorResponse:
     def test_full_scale_frequency(self):
         # criterion oracle: toggle counting over 10 ms
@@ -114,6 +140,18 @@ class TestSensorResponse:
         expected = ((level / 255) * cfg.geometric_gain + cfg.ambient_intensity) \
             * cfg.sensor_full_scale_frequency
         assert measured_frequency(settled) == pytest.approx(expected, rel=0.01)
+
+
+def test_public_stages_leave_their_inputs_unchanged():
+    config = TestBlockEdges.CONFIG
+    pwm = bulb.render_pwm(bulb.render_level_trace(
+        TestBlockEdges.SCHEDULE, config, TestBlockEdges.DURATION), config)
+    kept = pwm.values.copy()
+    light = propagate(pwm, config)
+    assert np.array_equal(pwm.values, kept)
+    kept = light.values.copy()
+    sensor_response(light, config)
+    assert np.array_equal(light.values, kept)
 
 
 class TestSimulateLink:
@@ -222,6 +260,19 @@ class TestLinkTails:
             assert joined.size == n
             assert np.array_equal(joined, simulate_link(self.SCHEDULE, config, duration).values)
             assert np.array_equal(joined, sensor_response(propagate(pwm, config), config).values)
+
+    @pytest.mark.parametrize("sigmas", [(0.0,), (0.01, 0.02, 0.05)], ids=["one", "three_noisy"])
+    def test_yielded_blocks_stay_as_yielded(self, sigmas):
+        """Nothing a later block renders writes into a block already yielded:
+        the receiver keeps blocks while the link renders on."""
+        configs = [self.CONFIG.replace(noise_sigma=sigma) for sigma in sigmas]
+        yielded, copies = [], []
+        for step in channel.link_blocks(self.SCHEDULE, configs, TestBlockEdges.DURATION):
+            yielded.append(step)
+            copies.append(tuple(block.copy() for block in step))
+        assert len(yielded) >= 3
+        for step, copy in zip(yielded, copies):
+            assert all(np.array_equal(a, b) for a, b in zip(step, copy, strict=True))
 
     def test_configs_must_share_the_transmit_half(self):
         with pytest.raises(ConfigError, match="differ only in"):

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -99,6 +100,20 @@ class TestStft:
     def test_sample_rate_required_for_arrays(self):
         with pytest.raises(DomainError):
             stft(np.zeros(10_000), 2048, 1024)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e7, float("nan"), float("inf")])
+    def test_sample_rate_must_be_finite_and_positive(self, rate):
+        x = synth_square(400_000.0, FS, 20_000)
+        calls = [(stft, x)]
+        for call in (dsp.stft_track, zero_crossing_frequency):
+            calls += [(call, x), (call, ((block,) for block in traces.blocks(x)))]
+        calls += [(lambda s, w, h, sample_rate: dsp.track_all(s, [(0, w, h)],
+                                                              sample_rate=sample_rate), x)]
+        for call, samples in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # refused before any numpy warning
+                with pytest.raises(DomainError, match="sample_rate must be finite and > 0"):
+                    call(samples, 1024, 512, sample_rate=rate)
 
 
 class TestPrecision:

@@ -1,5 +1,6 @@
 """The per-sample kernels: their physics, and block-by-block equals one pass."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -8,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lightleak
+from lightleak import _kernels
 from lightleak._kernels import level_fill, lowpass, pwm_wave, square_wave
 
 N = 500_000
@@ -124,6 +126,16 @@ def _pwm_reference(level, step, start, stop):
 # steps of 1e-9 to 1e-2 PWM periods a sample; starts near 2**52 are where the
 # opening of the period open at a block's start is one sample off ceil(p / step)
 @settings(max_examples=100, deadline=None)
+# at step 0.01 a period opens every 100 samples, and the one at sample 0
+# latches level ``salt``: duties of 0, 1, 254 and 255 over 255
+@example(step=0.01, start=0, blocks=[100, 100], salt=0)
+@example(step=0.01, start=0, blocks=[100, 100], salt=1)
+@example(step=0.01, start=0, blocks=[100, 100], salt=254)
+@example(step=0.01, start=0, blocks=[100, 100], salt=255)
+# one-sample blocks, and blocks that start on an opening or one sample after it
+@example(step=0.01, start=99, blocks=[1, 1, 1, 98], salt=7)
+@example(step=0.01, start=100, blocks=[100, 200], salt=7)
+@example(step=0.01, start=101, blocks=[99, 1, 300], salt=7)
 @given(step=st.floats(-9, -2).map(lambda e: 10 ** e),
        start=st.one_of(st.integers(0, 2 ** 20), st.integers(2 ** 44, 2 ** 52)),
        blocks=st.lists(st.integers(1, 400), min_size=1, max_size=4), salt=st.integers(0, 255))
@@ -148,6 +160,26 @@ def test_pwm_finds_the_opening_before_a_block():
         pwm_wave(lambda idx: asked.append(idx) or np.zeros(idx.size), step, int(start),
                  int(start) + 1)
         assert asked[0][0] == _opening(step, int(start))
+
+
+def test_public_functions_are_the_traced_kernels():
+    """The benchmark traces each public function of `_kernels` as a
+    ``kernels.*`` span with its own metric; a helper stays private."""
+    public = {name for name, fn in vars(_kernels).items()
+              if not name.startswith("_") and inspect.isfunction(fn)
+              and fn.__module__ == _kernels.__name__}
+    assert public == {"level_fill", "pwm_wave", "lowpass", "square_wave"}
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    x = rng.random(70_000)
+    freq = 1e5 + 7e5 * rng.random(70_000)
+    for array, call in ((x, lambda a: lowpass(a, 0.04, 0.3)),
+                        (freq, lambda a: square_wave(a, FS, 0.7))):
+        kept = array.copy()
+        call(array)
+        assert np.array_equal(array, kept)
 
 
 class TestNumpyKernels:
