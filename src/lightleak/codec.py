@@ -53,16 +53,6 @@ class Calibration:
 
 
 @dataclass(frozen=True)
-class SymbolSlot:
-    """One data slot between two delimiter plateaus."""
-
-    start_frame: int
-    end_frame: int
-    frequency: float
-    confidence: float
-
-
-@dataclass(frozen=True)
 class DecodeReport:
     """Outcome of decoding a recovered bit sequence."""
 
@@ -151,42 +141,58 @@ def _min_run_frames(track: FrequencyTrack, alphabet: SymbolAlphabet) -> int:
     frame_dt = float(np.median(np.diff(track.frame_times)))
     if not (np.isfinite(frame_dt) and frame_dt > 0.0):
         raise FramingError(f"track frame spacing must be a positive time, got {frame_dt} s")
-    return max(2, int(round(_MIN_PLATEAU_FRACTION * alphabet.symbol_period / frame_dt)))
+    frames = _MIN_PLATEAU_FRACTION * alphabet.symbol_period / frame_dt
+    if not np.isfinite(frames):
+        raise FramingError(f"a {alphabet.symbol_period} s symbol spans no finite number of frames")
+    return max(2, int(round(frames)))
 
 
-def _central(start: int, end: int) -> slice:
-    """Trim the outer quarters of a slot, where fade tails live."""
-    cut = (end - start) // 4
-    return slice(start + cut, end - cut)
+def _medians(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`np.median` of each run of ``values``, the runs back to back and ``lengths`` long.
+
+    One sort by (run, value); a run's median is its two middle elements
+    added and divided by 2 (one element twice for an odd run), as
+    `np.median` does, in the values' dtype.  Every length is at least 1.
+    The result is `np.median`'s bit for bit wherever no sum overflows, that
+    is for values within half the dtype's largest magnitude, as both
+    trackers' frequencies and confidences are.
+    """
+    order = np.lexsort((values, np.repeat(np.arange(lengths.size), lengths)))
+    starts = np.cumsum(lengths) - lengths
+    return (values[order[starts + (lengths - 1) // 2]] + values[order[starts + lengths // 2]]) / 2
 
 
 def _slots(track: FrequencyTrack, center: float, halfwidth: float,
-           min_run: int) -> list[SymbolSlot]:
+           min_run: int) -> tuple[np.ndarray, ...]:
     """Data slots: the gaps of at least ``min_run`` frames between delimiter plateaus.
 
-    Slot statistics are medians over the central half of each slot so the
-    fade transitions on either side do not drag them toward the delimiter.
+    Returns the frames of each slot's central half, back to back, the number
+    of them per slot, and each slot's median frequency and confidence over
+    them (float64).  Trimming the outer quarters keeps the fade transitions
+    on either side from dragging the medians toward the delimiter; with
+    ``min_run >= 2`` no central half is empty.
     """
     in_band = np.abs(track.frequencies - center) <= halfwidth
     delim_starts, delim_ends = _plateau_runs(in_band, min_run)
     if delim_starts.size == 0:
         raise FramingError("no delimiter structure found in track")
-    gap_starts, gap_ends = delim_ends[:-1], delim_starts[1:]
-    keep = gap_ends - gap_starts >= min_run
-    slots = []
-    for start, end in zip(gap_starts[keep].tolist(), gap_ends[keep].tolist()):
-        central = _central(start, end)
-        slots.append(SymbolSlot(start, end,
-                                float(np.median(track.frequencies[central])),
-                                float(np.median(track.confidences[central]))))
-    return slots
+    starts, ends = delim_ends[:-1], delim_starts[1:]
+    keep = ends - starts >= min_run
+    cut = (ends[keep] - starts[keep]) // 4
+    ends = ends[keep] - cut
+    lengths = ends - (starts[keep] + cut)
+    # slot i's central frames are the lengths[i] frames before its trimmed end
+    frames = np.repeat(ends - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    freqs, confs = (_medians(a[frames], lengths) for a in (track.frequencies, track.confidences))
+    return frames, lengths, freqs.astype(np.float64), confs.astype(np.float64)
 
 
 def symbol_slots(track: FrequencyTrack, calibration: Calibration,
-                 alphabet: SymbolAlphabet) -> list[SymbolSlot]:
+                 alphabet: SymbolAlphabet) -> tuple[np.ndarray, ...]:
     """Segment a track into data slots using the calibrated delimiter band.
 
-    Each slot's frequency and confidence are medians over its central half.
+    Returns, as `_slots` does, the central-half frames, their count per
+    slot, and each slot's median frequency and confidence over them.
     """
     halfwidth = _BAND_FRACTION * (calibration.f_one - calibration.f_zero)
     return _slots(track, calibration.threshold, halfwidth, _min_run_frames(track, alphabet))
@@ -211,22 +217,20 @@ def calibrate(track: FrequencyTrack, alphabet: SymbolAlphabet) -> Calibration:
     if not p90 > p10:
         raise CalibrationError("track shows no frequency spread to calibrate from")
 
-    slots = _slots(track, 0.5 * (p10 + p90), _BAND_FRACTION * (p90 - p10), min_run)
-    if len(slots) < PREAMBLE.size:
+    frames, lengths, medians, _ = _slots(track, 0.5 * (p10 + p90),
+                                         _BAND_FRACTION * (p90 - p10), min_run)
+    if lengths.size < PREAMBLE.size:
         raise CalibrationError(
-            f"preamble region not found: {len(slots)} slots, need {PREAMBLE.size}")
-    preamble = slots[:PREAMBLE.size]
-    medians = np.array([slot.frequency for slot in preamble])
+            f"preamble region not found: {lengths.size} slots, need {PREAMBLE.size}")
+    lengths, medians = lengths[:PREAMBLE.size], medians[:PREAMBLE.size]
     # preamble alternates 1,0,1,0,...: odd-numbered symbols carry ones
     f_one = float(np.median(medians[0::2]))
     f_zero = float(np.median(medians[1::2]))
     if f_one <= f_zero:
         raise CalibrationError("preamble plateaus are not ordered; cannot calibrate")
 
-    residuals = [np.abs(track.frequencies[_central(slot.start_frame, slot.end_frame)]
-                        - slot.frequency)
-                 for slot in preamble]
-    jitter = 1.4826 * float(np.median(np.concatenate(residuals)))
+    residuals = np.abs(track.frequencies[frames[:lengths.sum()]] - np.repeat(medians, lengths))
+    jitter = 1.4826 * float(np.median(residuals))
     if f_one - f_zero <= 2.0 * jitter:
         raise CalibrationError(
             f"level separation {f_one - f_zero:.1f} Hz below jitter bound "
@@ -237,19 +241,18 @@ def calibrate(track: FrequencyTrack, alphabet: SymbolAlphabet) -> Calibration:
 def classify_symbols(track: FrequencyTrack, calibration: Calibration,
                      alphabet: SymbolAlphabet,
                      confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR
-                     ) -> tuple[np.ndarray, list[SymbolSlot]]:
-    """Recover the bit sequence from a frequency track, with the slots it came from.
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Recover the bit sequence from a frequency track, with its slots' confidences.
 
     Delimiter plateaus split the track into data slots; a slot whose median
     frequency clears the calibrated threshold is a one, otherwise a zero.
     Slots whose median confidence falls below ``confidence_floor`` are marked
-    as erasures rather than guessed.  ``bits[i]`` comes from ``slots[i]``.
+    as erasures rather than guessed.  ``bits[i]`` comes from the slot whose
+    median confidence is ``confidences[i]``.
     """
-    slots = symbol_slots(track, calibration, alphabet)
-    freqs = np.array([slot.frequency for slot in slots])
-    confs = np.array([slot.confidence for slot in slots])
+    _, _, freqs, confs = symbol_slots(track, calibration, alphabet)
     bits = np.where(confs < confidence_floor, ERASURE, freqs >= calibration.threshold)
-    return bits.astype(np.int8), slots
+    return bits.astype(np.int8), confs
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +270,8 @@ def decode_frame(bits, reference: bytes | None = None,
     consumed frame.
     """
     bits = np.asarray(bits, dtype=np.int8)
+    if bits.ndim != 1:
+        raise DomainError(f"bits must be one-dimensional, got shape {bits.shape}")
     if confidences is not None:
         confidences = np.asarray(confidences, dtype=np.float64)
         if confidences.size != bits.size:

@@ -6,8 +6,8 @@ component that would otherwise leak everywhere), and takes magnitude spectra.
 The dominant-frequency tracker refines the peak bin with parabolic
 interpolation; an independent zero-crossing tracker provides a time-domain
 cross-check.  Each tracker is one batch function, listed in `TRACKERS` with
-its confidence floor, from a batch's magnitude spectra (or, for the
-zero-crossing tracker, its frames) to their frequencies and confidences.  A
+its confidence floor, from a batch's frames to their frequencies and
+confidences (the STFT tracker through the frames' magnitude spectra).  A
 framer cuts a stream, pushed one block at a time, into batches of frames, so
 a long capture never has to be held whole, and one receive loop
 (`_receive`) feeds a stream to several receivers in lockstep and hands each
@@ -80,11 +80,24 @@ class Spectrogram:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTrack:
-    """Per-frame dominant frequency estimates with confidences."""
+    """Per-frame dominant frequency estimates with confidences.
+
+    The three arrays are one-dimensional and of one length, and the
+    frequencies and confidences are finite; anything else is refused with
+    `DomainError`.
+    """
 
     frame_times: np.ndarray = field(repr=False)
     frequencies: np.ndarray = field(repr=False)
     confidences: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.frame_times, self.frequencies, self.confidences)]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise DomainError("frame_times, frequencies and confidences must be "
+                              f"one-dimensional and of one length, got shapes {shapes}")
+        if not (np.isfinite(self.frequencies).all() and np.isfinite(self.confidences).all()):
+            raise DomainError("frequencies and confidences must be finite")
 
     def __len__(self):
         return self.frequencies.size
@@ -354,17 +367,17 @@ def dominant_frequency(spec: Spectrogram) -> FrequencyTrack:
     return FrequencyTrack(spec.frame_times.copy(), freqs, confs)
 
 
-def _track_stft(mags: np.ndarray, window_length: int, sample_rate: float):
-    """``dominant_frequency(stft(...))`` of one batch, from its magnitude spectra alone."""
-    return _peaks(mags, sample_rate / window_length)
+def _track_stft(frames: np.ndarray, window: np.ndarray, sample_rate: float):
+    """``dominant_frequency(stft(...))`` of one batch, from its frames' magnitude spectra alone."""
+    return _peaks(_spectra(frames, window), sample_rate / window.size)
 
 
-def _track_zero_crossing(frames: np.ndarray, window_length: int, sample_rate: float):
+def _track_zero_crossing(frames: np.ndarray, window: np.ndarray, sample_rate: float):
     """Time-domain frequency of one batch of frames: rising-edge counting.
 
-    The frames are not weighted, and no spectra are taken.  Frequency is the
-    number of rising edges (crossings of the frame's min/max midpoint)
-    divided by the window duration.  Confidence is
+    The frames are not weighted by ``window``, and no spectra are taken.
+    Frequency is the number of rising edges (crossings of the frame's
+    min/max midpoint) divided by the window duration.  Confidence is
     ``1 - var(gaps)/mean(gap)^2``, that is ``1 - (k*S2 - S1^2)/S1^2`` over
     the ``k`` gaps' sum ``S1`` and sum of squares ``S2``, clamped to [0, 1];
     frames with fewer than two edges report frequency 0 and confidence 0.
@@ -380,17 +393,16 @@ def _track_zero_crossing(frames: np.ndarray, window_length: int, sample_rate: fl
     s1, s2 = (np.bincount(rows[1:][same], weights=g, minlength=n) for g in (gaps, gaps * gaps))
     ok = edges >= 2
     ratio = np.divide((edges - 1) * s2 - s1 * s1, s1 * s1, out=np.ones(n), where=ok)
-    freqs = np.where(ok, edges / (window_length / sample_rate), 0.0)
+    freqs = np.where(ok, edges / (window.size / sample_rate), 0.0)
     return freqs, np.clip(1.0 - ratio, 0.0, 1.0)
 
 
 #: tracker name -> (batch function, confidence floor below which a slot is
-#: erased, whether the function takes a batch's magnitude spectra or else its
-#: frames); the function maps that, the window length and the sample rate to
-#: the frames' frequencies and confidences (zero-crossing's lie in [0, 1]).
-#: A batch's spectra and its batch function are one job of `_receive`, run
+#: erased); the function maps a batch's frames, the receiver's Hann window
+#: and the sample rate to the frames' frequencies and confidences
+#: (zero-crossing's lie in [0, 1]).  Each call is one job of `_receive`, run
 #: on its worker thread, one job at a time.
-TRACKERS = {"stft": (_track_stft, 2.0, True), "zero_crossing": (_track_zero_crossing, 0.5, False)}
+TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 
 def track_all(samples, receivers: list, tracker: str = "stft",
@@ -400,8 +412,7 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     ``samples`` is a SensorTrace, a plain array or an iterator of steps (the
     last two with ``sample_rate``) through `_receive`, whose job for each
     batch of a receiver's frames, as soon as it is complete, is the
-    ``TRACKERS[tracker]`` batch function of the frames (or of their
-    spectra, taken in the same job).  ``receivers`` lists
+    ``TRACKERS[tracker]`` batch function of the frames.  ``receivers`` lists
     ``(tail, window_length, hop)`` triples.  Returns, per receiver and in
     receiver order, its `FrequencyTrack` or the `DomainError` it ended with
     (a stream shorter than its window, which then never builds its window,
@@ -410,13 +421,10 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     finished.
     """
     steps, fs = _as_stream(samples, sample_rate)
-    fn, _, spectra = TRACKERS[tracker]
+    fn, _ = TRACKERS[tracker]
     results = [[] for _ in receivers]
-
-    def track(frames, window):
-        return fn(_spectra(frames, window) if spectra else frames, window.size, fs)
-
-    errors = _receive(steps, receivers, track, lambda r, result: results[r].append(result))
+    errors = _receive(steps, receivers, lambda frames, window: fn(frames, window, fs),
+                      lambda r, result: results[r].append(result))
     return [_finish(batches, error, window_length, hop, fs)
             for (_, window_length, hop), batches, error in zip(receivers, results, errors)]
 

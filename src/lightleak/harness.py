@@ -207,12 +207,10 @@ def _decode(track, alphabet: SymbolAlphabet, tracker: str,
     with _stage("calibrate"):
         calibration = codec.calibrate(track, alphabet)
     with _stage("classify"):
-        floor = dsp.TRACKERS[tracker][1]
-        bits, slots = codec.classify_symbols(track, calibration, alphabet,
-                                             confidence_floor=floor)
+        bits, confidences = codec.classify_symbols(
+            track, calibration, alphabet, confidence_floor=dsp.TRACKERS[tracker][1])
     with _stage("decode"):
-        report = codec.decode_frame(bits, reference=reference,
-                                    confidences=[s.confidence for s in slots])
+        report = codec.decode_frame(bits, reference=reference, confidences=confidences)
     return replace(report, calibration=calibration)
 
 

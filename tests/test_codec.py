@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lightleak as ll
@@ -204,9 +204,9 @@ class TestClassifySymbols:
 
     def test_pure_delimiter_empty(self):
         track = make_track("d" * 30)
-        bits, slots = classify_symbols(track, self.CAL, ALPHABET)
+        bits, confidences = classify_symbols(track, self.CAL, ALPHABET)
         assert bits.tolist() == []
-        assert slots == []
+        assert confidences.size == 0
 
     def test_erasure_marking(self):
         bits = [1, 0, 1, 1, 0]
@@ -216,10 +216,18 @@ class TestClassifySymbols:
         slot = 16 * 5
         confs[slot:slot + 16] = 0.5
         dropped = FrequencyTrack(track.frame_times, track.frequencies, confs)
-        got, slots = classify_symbols(dropped, self.CAL, ALPHABET)
+        got, confidences = classify_symbols(dropped, self.CAL, ALPHABET)
         assert got.tolist() == [1, 0, ERASURE, 1, 0]
         # each bit comes from the slot at the same index
-        assert [s.confidence < 1.0 for s in slots] == [False, False, True, False, False]
+        assert (confidences < 1.0).tolist() == [False, False, True, False, False]
+
+    def test_an_infinite_symbol_period_spans_no_frames(self):
+        track = track_for_bits(PREAMBLE)
+        endless = ll.SymbolAlphabet(symbol_period=float("inf"))
+        with pytest.raises(FramingError, match="no finite number of frames"):
+            calibrate(track, endless)
+        with pytest.raises(FramingError, match="no finite number of frames"):
+            classify_symbols(track, self.CAL, endless)
 
     def test_no_delimiter_structure(self):
         track = make_track("1" * 30)
@@ -239,7 +247,40 @@ class TestClassifySymbols:
             assert np.array_equal(classify_symbols(scaled, cal_s, ALPHABET)[0], base)
 
 
+@st.composite
+def float_runs(draw):
+    """A float dtype and runs of values of it: ties, odd and even lengths, no run at all."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    info = np.finfo(dtype)
+    # within half the largest magnitude, where no sum overflows; a signed zero
+    # is drawn as +0.0, since which of two tied zeros sorts to the middle is the
+    # sort's choice
+    floats = st.floats(-info.max / 2, info.max / 2, width=info.bits).map(lambda v: v + 0.0)
+    pool = draw(st.lists(floats, min_size=1, max_size=3))  # values drawn again make ties
+    value = st.one_of(st.sampled_from(pool), floats)
+    return dtype, draw(st.lists(st.lists(value, min_size=1, max_size=9), max_size=8))
+
+
+@settings(deadline=None)
+@given(float_runs())
+@example((np.float64, []))
+@example((np.float32, [[1.0], [0.1, 0.2], [3.0, 1.0, 3.0], [5.0, 4.0, 5.0, 4.0]]))
+def test_medians_are_np_median(dtype_runs):
+    dtype, runs = dtype_runs
+    values = np.array([v for run in runs for v in run], dtype=dtype)
+    lengths = np.array([len(run) for run in runs], dtype=np.intp)
+    want = np.array([np.median(np.array(run, dtype=dtype)) for run in runs], dtype=dtype)
+    got = codec._medians(values, lengths)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestDecodeFrame:
+    def test_bits_of_two_rows(self):
+        bits = np.stack([encode_frame(b"\x41")] * 2)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            decode_frame(bits)
+
     def test_exact_inverse(self):
         payload = b"\x41\x42\x43"
         report = decode_frame(encode_frame(payload), reference=payload)

@@ -325,12 +325,11 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
 def _serial_track(x, window, hop, tracker):
     """Frequencies and confidences of the ``TRACKERS[tracker]`` batch function
     over every batch of ``x``'s frames in turn, with no worker."""
-    fn, _, spectra = dsp.TRACKERS[tracker]
+    fn, _ = dsp.TRACKERS[tracker]
     frames = sliding_window_view(x, window)[::hop]
     k = min(dsp._STFT_BLOCK, max(1, dsp._STFT_BLOCK * window // hop))
     batches = (frames[i:i + k] for i in range(0, frames.shape[0], k))
-    freqs, confs = zip(*(fn(dsp._spectra(b, hann_window(window)) if spectra else b, window, FS)
-                         for b in batches))
+    freqs, confs = zip(*(fn(b, hann_window(window), FS) for b in batches))
     return np.concatenate(freqs), np.concatenate(confs)
 
 
@@ -418,7 +417,7 @@ class TestBlockEdges:
         receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
         want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
         executor = dsp.ThreadPoolExecutor if script is None else ScriptedExecutor(script)
-        fn, floor, spectra = dsp.TRACKERS[tracker]
+        fn, floor = dsp.TRACKERS[tracker]
         receive, log, ran = dsp._receive, [], []
 
         def pool(max_workers):  # logs each batch's receiver as it is submitted
@@ -439,17 +438,17 @@ class TestBlockEdges:
 
             return receive(steps, receivers, job, logged)
 
-        def logged_fn(batch, window_length, sample_rate):  # logs where each job runs
+        def logged_fn(batch, window, sample_rate):  # logs where each job runs
             if script is None:
                 ran.append(threading.get_ident())
             else:  # the call a scripted job runs in is the last one logged
                 ran.append(executor.events[-1][0])
-                executor.events.append(("job", window_length))
-            return fn(batch, window_length, sample_rate)
+                executor.events.append(("job", window.size))
+            return fn(batch, window, sample_rate)
 
         monkeypatch.setattr(dsp, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(dsp, "_receive", logged_receive)
-        monkeypatch.setitem(dsp.TRACKERS, tracker, (logged_fn, floor, spectra))
+        monkeypatch.setitem(dsp.TRACKERS, tracker, (logged_fn, floor))
         got = dsp.track_all(x, receivers, tracker, FS)
         for (_, window, hop), track, (freqs, confs) in zip(receivers, got, want, strict=True):
             assert np.array_equal(track.frequencies, freqs)
@@ -553,6 +552,22 @@ class TestOneDimensional:
     def test_a_trace_of_two_rows(self):
         with pytest.raises(DomainError, match="one-dimensional"):
             SensorTrace(FS, np.zeros((2, 5000), np.uint8))
+
+    @pytest.mark.parametrize("times, freqs, confs", [
+        (np.zeros((2, 8)), np.zeros((2, 8)), np.zeros((2, 8))),
+        (np.arange(9.0), np.zeros(8), np.zeros(8)),
+        (np.arange(8.0), np.zeros(8), np.zeros(7)),
+    ], ids=["two-rows", "times-too-long", "confidences-too-short"])
+    def test_a_frequency_track(self, times, freqs, confs):
+        with pytest.raises(DomainError, match="one-dimensional and of one length"):
+            dsp.FrequencyTrack(times, freqs, confs)
+
+    @pytest.mark.parametrize("freq, conf", [
+        (np.nan, 1.0), (np.inf, 1.0), (1e5, -np.inf), (1e5, np.nan)])
+    def test_a_frequency_track_is_finite(self, freq, conf):
+        with pytest.raises(DomainError, match="must be finite"):
+            dsp.FrequencyTrack(np.arange(3.0), np.array([1e5, freq, 1e5]),
+                               np.array([1.0, conf, 1.0], dtype=np.float32))
 
     @pytest.mark.parametrize("x", [np.zeros((2, 5000)), np.float64(3.0)])
     def test_arrays(self, x):

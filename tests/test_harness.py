@@ -418,7 +418,7 @@ class TestReceiveAll:
         assert set(built) == {4096}
 
     def test_a_batch_error_is_its_receivers_own(self, fast_link, monkeypatch):
-        track, floor, spectra = dsp.TRACKERS["stft"]
+        track, floor = dsp.TRACKERS["stft"]
         config, alphabet = fast_link
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
         # on the worker thread, then on a scripted worker that is always done,
@@ -428,13 +428,13 @@ class TestReceiveAll:
                 monkeypatch.setattr(dsp, "ThreadPoolExecutor", scripted)
             batches = collections.Counter()
 
-            def flaky(mags, window_length, sample_rate):  # the 2048 window fails its second batch
-                batches[window_length] += 1
-                if window_length == 2048 and batches[2048] == 2:
+            def flaky(frames, window, sample_rate):  # the 2048 window fails its second batch
+                batches[window.size] += 1
+                if window.size == 2048 and batches[2048] == 2:
                     raise DomainError("the second batch failed")
-                return track(mags, window_length, sample_rate)
+                return track(frames, window, sample_rate)
 
-            monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor, spectra))
+            monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor))
             steps = channel.link_blocks(schedule, [config], duration)
             ok, bad, also_ok = harness.receive_all(
                 steps, alphabet, [(0, 4096, 2048), (0, 2048, 1024), (0, 4096, 1024)],
@@ -468,14 +468,14 @@ def test_public_functions_run_on_the_calling_thread(fast_link, monkeypatch):
     _record_threads(monkeypatch, public)
     config, alphabet = fast_link
     schedule, duration = harness.transmit(config, alphabet, b"\x5a")
-    for tracker, (fn, floor, spectra) in list(dsp.TRACKERS.items()):
+    for tracker, (fn, floor) in list(dsp.TRACKERS.items()):
         batches = []
 
-        def recorded(batch, window_length, sample_rate, fn=fn, batches=batches):
+        def recorded(batch, window, sample_rate, fn=fn, batches=batches):
             batches.append(threading.get_ident())
-            return fn(batch, window_length, sample_rate)
+            return fn(batch, window, sample_rate)
 
-        monkeypatch.setitem(dsp.TRACKERS, tracker, (recorded, floor, spectra))
+        monkeypatch.setitem(dsp.TRACKERS, tracker, (recorded, floor))
         assert ll.run_end_to_end(config, alphabet, b"\x41", tracker=tracker).report.ber == 0.0
         assert len(batches) > 1
         steps = channel.link_blocks(schedule, [config, config.replace(distance=0.4)], duration)
