@@ -1,32 +1,33 @@
 """Hot per-sample kernels, vectorised with numpy and scipy.
 
-The four inner loops that dominate runtime at 10 MS/s all live here:
+The three inner loops that dominate runtime at 10 MS/s all live here:
 
 * ``level_fill``  -- sample a piecewise-linear fade profile at given samples,
 * ``pwm_wave``    -- render a PWM on/off waveform from the level at period starts,
-* ``lowpass``     -- first-order low-pass (photodiode integration),
-* ``square_wave`` -- phase-accumulating oscillator (light-to-frequency output).
+* ``sensor_wave`` -- the light-to-frequency sensor: a first-order low-pass
+  (photodiode integration) driving a phase-accumulating oscillator, as one
+  order-2 recurrence from light to phase.
 
 The kernels render one block of a longer trace at a time.  ``level_fill``
-and ``pwm_wave`` take absolute sample indices and carry no state, and
-``lowpass`` and ``square_wave`` take the state the previous block ended in
-(filter output, oscillator phase); ``square_wave`` returns its end phase
-with the block.  Rendering a trace block by block therefore gives the same
-bits as one pass over it.
+and ``pwm_wave`` take absolute sample indices and carry no state;
+``sensor_wave`` takes the block's first absolute index and the state the
+previous block ended in, and returns its end state with the block.
+Rendering a trace block by block therefore gives the same bits as one pass
+over it.
 
-``pwm_wave`` works per PWM period, not per sample: it finds each period's
-opening and the end of its on-run from an estimate and an exact fix-up on
-the phase ``i * step``, asks ``level_fill`` for the level at the openings
-only, and writes the wave once, from its run lengths.  The sensor's two
-kernels touch every sample: ``lowpass`` once (the ``lfilter`` recurrence),
-``square_wave`` five times (divide, ``cumsum``, floor, subtract, compare).
-These two recurrences have no faster form with the same bits.
+``level_fill`` finds each sample's level line with one search and computes
+every sample's level with the same few array operations, whatever lines
+the samples fall on.  ``pwm_wave`` works per PWM period, not per sample: it
+finds each period's opening and the end of its on-run from an estimate and
+an exact fix-up on the phase ``i * step``, asks ``level_fill`` for the level
+at the openings only, and writes the wave once, from its run lengths.
+``sensor_wave`` touches every sample in one ``lfilter`` and six array
+operations (centre, ramp, add, floor, subtract, compare); within a
+segment of ``SEGMENT`` samples it keeps no phase but the filter's.
 
 Each kernel returns arrays it allocated itself and writes into no array it
-is given (``level_fill`` writes into ``out`` when given one): the waves are
-new uint8 arrays, ``lowpass`` returns the array ``lfilter`` made, and
-``square_wave`` keeps its steps and phase in two arrays of its own.  So a
-caller may overwrite what ``lowpass`` returns, and may keep every wave.
+is given (``level_fill`` writes into ``out`` when given one), so a caller may
+keep every wave.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ import numpy as np
 
 #: the kernel implementation, recorded with benchmark results
 BACKEND = "numpy"
+
+#: samples per segment of the sensor's phase grid: `sensor_wave` re-centres
+#: its filter and reduces the phase to [0, 1) at multiples of this absolute
+#: sample index, and nowhere else
+SEGMENT = 1 << 14
+
+#: ``i + 1`` for the ``i``-th sample of a segment, what the sensor's ramp scales
+_RAMP = np.arange(1.0, SEGMENT + 1.0)
 
 
 def level_fill(bounds: np.ndarray, times: np.ndarray, levels: np.ndarray, dt: float,
@@ -50,17 +59,18 @@ def level_fill(bounds: np.ndarray, times: np.ndarray, levels: np.ndarray, dt: fl
     The levels go to ``out`` (a new float64 array if None), which may be
     ``idx`` itself.
     """
-    if out is None:
-        out = np.empty(idx.size, dtype=np.float64)
-    cuts = np.searchsorted(idx, bounds)  # line j owns idx[cuts[j]:cuts[j+1]]
-    for j in np.flatnonzero(cuts[1:] > cuts[:-1]):
-        lo, hi = cuts[j], cuts[j + 1]
-        if j + 1 == times.size or levels[j + 1] == levels[j]:
-            out[lo:hi] = levels[j]
-            continue
-        t = idx[lo:hi] * dt
-        frac = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
-        out[lo:hi] = levels[j] + (levels[j + 1] - levels[j]) * frac
+    # sample i is on line j where bounds[j] <= i < bounds[j+1]; past the last
+    # knot the line has no span and no rise, so its level holds
+    line = np.searchsorted(bounds, idx, side="right") - 1
+    origin, level = times[line], levels[line]
+    span = times.take(line + 1, mode="clip") - origin
+    rise = levels.take(line + 1, mode="clip") - level
+    out = np.multiply(idx, dt, out=out)
+    out -= origin
+    np.divide(out, span, out=out, where=span > 0)
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= rise
+    out += level
     return out
 
 
@@ -110,35 +120,53 @@ def _reach(step: float, p: np.ndarray, t) -> np.ndarray:
     return i
 
 
-def lowpass(x: np.ndarray, alpha: float, y0: float) -> np.ndarray:
-    """First-order low-pass ``y[i] = alpha*x[i] + (1-alpha)*y[i-1]``, y[-1]=y0."""
-    if x.size == 0:
-        return np.zeros(0, dtype=np.float64)
+def sensor_wave(light: np.ndarray, start: int, decay: float, gain: float, dark: float,
+                state: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """The sensor's square wave for the light of samples ``start:start + light.size``.
+
+    The photodiode low-passes the light, ``y[i] = (1-b)*x[i] + b*y[i-1]``
+    with the pole ``b = decay`` rounded to a multiple of 2**-52, and the
+    oscillator accumulates the phase ``phi[i] = phi[i-1] + dark + gain*y[i]``
+    (``gain`` and ``dark`` in cycles per sample).  The wave is high while the
+    phase's fraction is at least 1/2, so from phase 0 it starts low.
+
+    Both recurrences run as one ``lfilter([gain*(1-b)], [1, -1-b, b])`` from
+    light to phase.  Its poles are ``b`` and exactly 1 (on that grid
+    ``1 + b`` and ``1 - b`` are exact), and it is centred to keep its
+    precision: within each segment of ``SEGMENT`` absolute samples it filters
+    the light minus ``m``, the low-pass output where the segment starts,
+    from the phase there, and adds back the ramp ``(gain*m + dark)*(i+1)``
+    that ``m`` drives.  Only where a segment ends is the phase reduced to
+    [0, 1) and ``m`` read from the filter's state.
+
+    ``state`` is what the previous block returned, or None for a low-pass
+    in steady state at the first sample and phase 0.  Since the segments
+    are fixed in absolute samples, any split of a trace into blocks gives
+    the same bits as one pass.
+    """
+    if light.size == 0:
+        return np.zeros(0, dtype=np.uint8), state
     # imported here: scipy.signal is most of the package's import time
     from scipy.signal import lfilter
-    beta = 1.0 - alpha
-    # direct-form II transposed with this b/a is the identical recurrence
-    y, _ = lfilter([alpha], [1.0, alpha - 1.0], x, zi=np.array([beta * y0]))
-    return y
-
-
-def square_wave(freq: np.ndarray, sample_rate: float,
-                phi: float) -> tuple[np.ndarray, float]:
-    """Square wave from an instantaneous-frequency trace via phase accumulation.
-
-    Accumulates ``phi += freq[i] / sample_rate`` from the phase ``phi`` of
-    the previous sample and toggles the output each time the phase crosses a
-    half-integer; from phase 0 the wave starts low.  Returns the wave and the
-    phase at its last sample.
-    """
-    if freq.size == 0:
-        return np.zeros(0, dtype=np.uint8), phi
-    steps = freq / sample_rate
-    # cumsum adds left to right, so folding phi into the first step is the
-    # same sum as carrying it through a single pass
-    steps[0] += phi
-    phase = np.cumsum(steps)
-    # the phase is non-negative, so its fraction is exact: high in each
-    # cycle's second half; the steps are spent, and hold it
-    frac = np.subtract(phase, np.floor(phase, out=steps), out=steps)
-    return (frac >= 0.5).view(np.uint8), float(phase[-1])
+    pole = math.ldexp(round(math.ldexp(decay, 52)), -52)
+    b, a = [gain * (1.0 - pole)], [1.0, -1.0 - pole, pole]
+    m, zi = (float(light[0]), np.zeros(2)) if state is None else state
+    wave = np.empty(light.size, dtype=np.uint8)
+    # the block's pieces, cut where a segment ends
+    edges = [0, *range(-start % SEGMENT or SEGMENT, light.size, SEGMENT), light.size]
+    for lo, hi in zip(edges, edges[1:]):
+        at = (start + lo) % SEGMENT
+        centred = np.subtract(light[lo:hi], m)
+        phase, zi = lfilter(b, a, centred, zi=zi)
+        last = phase[-1]
+        # the ramp goes into the spent input, and the fraction into the filter's output
+        total = np.multiply(_RAMP[at:at + hi - lo], gain * m + dark, out=centred)
+        total += phase
+        frac = np.subtract(total, np.floor(total, out=phase), out=phase)
+        np.greater_equal(frac, 0.5, out=wave[lo:hi].view(bool))
+        if at + hi - lo == SEGMENT:
+            # the filter's first state is the last phase plus gain*b*(y - m);
+            # the next segment starts from the phase's fraction, a steady state
+            m = float(light[hi - 1]) if pole == 0 else m + (zi[0] - last) / (gain * pole)
+            zi = np.array([1.0, -pole]) * frac[-1]
+    return wave, (m, zi)

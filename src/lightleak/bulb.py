@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .config import ChannelConfig
 from .errors import ConfigError, DomainError
-from .traces import LevelTrace, PwmTrace
+from .traces import LevelTrace, PwmTrace, blocks
 
 #: number of brightness steps above "off"
 LEVEL_MAX = 255
@@ -212,9 +212,12 @@ def render_level_trace(schedule: CommandSchedule, config: ChannelConfig,
                        duration: float) -> LevelTrace:
     """Sample the effective brightness level over ``[0, duration)`` (see `level_plan`)."""
     plan = level_plan(schedule, config, duration)
-    # the sample indices are overwritten by their levels: one array in all
+    # the sample indices are overwritten by their levels, a block at a time
+    # so that the fill's temporaries stay block-sized: one array in all
     values = np.arange(plan.n, dtype=np.float64)
-    return LevelTrace(config.sample_rate, plan.at(values, out=values))
+    for block in blocks(values):
+        plan.at(block, out=block)
+    return LevelTrace(config.sample_rate, values)
 
 
 def pwm_step(config: ChannelConfig) -> float:

@@ -5,6 +5,8 @@ adds ambient light and white Gaussian noise, and clamps at zero (no negative
 light).  The sensor integrates the intensity with a first-order low-pass and
 drives an oscillator whose square-wave output frequency is linear in the
 filtered intensity, reaching ``sensor_full_scale_frequency`` at intensity 1.
+The low-pass and the oscillator's phase run as one recurrence from light to
+phase (`_kernels.sensor_wave`), on phase segments fixed in absolute samples.
 
 The link is streamed (`link_blocks`): one source renders the PWM waveform
 (from the level at period starts) and one noise draw, and feeds them to one
@@ -14,10 +16,10 @@ one-tail case, and `simulate_link` joins its blocks into one trace.
 
 The tails of a link take turns with one light buffer and one for the scaled
 noise draw, both allocated with the first block.  A tail writes its light
-there (the 0/1 waveform takes two values, computed once), the low-pass
-reads it into an array of its own, and the frequency mapping overwrites
-that array in place.  Only each tail's square wave is new at every block,
-since the receiver keeps the blocks it is handed.
+there (the 0/1 waveform takes two values, computed once), and the sensor
+kernel (`_kernels.sensor_wave`) reads it into arrays of its own.  Each
+tail's square wave is new at every block, since the receiver keeps the
+blocks it is handed.
 """
 
 from __future__ import annotations
@@ -83,25 +85,12 @@ def propagate(pwm: PwmTrace, config: ChannelConfig) -> IntensityTrace:
     return IntensityTrace(pwm.sample_rate, light)
 
 
-def _oscillate(x: np.ndarray, config: ChannelConfig, y: float,
-               phi: float) -> tuple[np.ndarray, float, float]:
-    """Sensor output for intensities ``x``, from filter output ``y`` and phase ``phi``.
-
-    Returns the square wave with the filter output and phase at its last
-    sample, which the next block starts from.
-    """
-    tau = config.sensor_time_constant
-    if tau > 0:
-        alpha = 1.0 - math.exp(-1.0 / (tau * config.sample_rate))
-    else:
-        alpha = 1.0
-    freq = _kernels.lowpass(x, alpha, y)
-    y = float(freq[-1])
-    # dark + filtered * full_scale, in the array the filter returned
-    np.multiply(freq, config.sensor_full_scale_frequency, out=freq)
-    freq += config.sensor_dark_frequency
-    wave, phi = _kernels.square_wave(freq, config.sample_rate, phi)
-    return wave, y, phi
+def _sensor(config: ChannelConfig) -> tuple[float, float, float]:
+    """The sensor's constants for `_kernels.sensor_wave`: the low-pass decay
+    per sample, and the full-scale and dark frequencies in cycles per sample."""
+    tau, rate = config.sensor_time_constant, config.sample_rate
+    return (math.exp(-1.0 / (tau * rate)) if tau > 0 else 0.0,
+            config.sensor_full_scale_frequency / rate, config.sensor_dark_frequency / rate)
 
 
 def sensor_response(intensity: IntensityTrace, config: ChannelConfig) -> SensorTrace:
@@ -112,15 +101,14 @@ def sensor_response(intensity: IntensityTrace, config: ChannelConfig) -> SensorT
     ``dark + filtered * full_scale`` and the output toggles each time the
     accumulated phase crosses a half-integer.  The filter starts in steady
     state at the first sample, so a constant input gives a constant rate.
+    The whole trace runs on the kernel's grid of phase segments, as the
+    streamed link does, so the two give the same bits.
     """
     if intensity.sample_rate != config.sample_rate:
         raise ConfigError(
             f"intensity sample rate {intensity.sample_rate} != config sample rate "
             f"{config.sample_rate}")
-    x = intensity.values
-    if x.size == 0:
-        return SensorTrace(config.sample_rate, np.zeros(0, dtype=np.uint8))
-    wave, _, _ = _oscillate(x, config, x[0], 0.0)
+    wave, _ = _kernels.sensor_wave(intensity.values, 0, *_sensor(config))
     return SensorTrace(config.sample_rate, wave)
 
 
@@ -142,7 +130,8 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
     follow the absolute sample index (PWM period ``p`` latches its duty at
     the first sample whose phase reaches ``p``, which a block that starts
     inside the period finds from its index), one generator draws all the
-    noise, and each tail's low-pass output and oscillator phase carry over.
+    noise, and each tail's sensor state carries over (its phase segments
+    follow the absolute sample index too).
     Each tail's blocks joined are bit for bit its single-pass render, and no
     stage holds more than a block.  The schedule, duration and PWM
     resolution are checked here, before the first block is rendered.
@@ -170,20 +159,20 @@ def _source(plan: bulb.LevelPlan, step: float,
 
 def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndarray, ...]]:
     """Each config's optical path and sensor over the source blocks, in lockstep."""
-    # (filter output, oscillator phase) per tail; the filter starts in
-    # steady state at the first sample
-    carry = [(None, 0.0)] * len(configs)
+    # the sensor state per tail; None starts its filter in steady state at
+    # the first sample
+    states = [None] * len(configs)
     light = scaled = None
+    start = 0
     for pwm, z in source:
         if light is None:  # the first block is the longest
             light, scaled = np.empty(pwm.size), np.empty(pwm.size)
         waves = []
         for k, config in enumerate(configs):
             x = _light(pwm, config, z, light[:pwm.size], scaled[:pwm.size])
-            y, phi = carry[k]
-            wave, y, phi = _oscillate(x, config, x[0] if y is None else y, phi)
-            carry[k] = (y, phi)
+            wave, states[k] = _kernels.sensor_wave(x, start, *_sensor(config), states[k])
             waves.append(wave)
+        start += pwm.size
         yield tuple(waves)
 
 

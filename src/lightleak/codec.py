@@ -150,16 +150,18 @@ def _min_run_frames(track: FrequencyTrack, alphabet: SymbolAlphabet) -> int:
 def _medians(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`np.median` of each run of ``values``, the runs back to back and ``lengths`` long.
 
-    One sort by (run, value); a run's median is its two middle elements
-    added and divided by 2 (one element twice for an odd run), as
-    `np.median` does, in the values' dtype.  Every length is at least 1.
-    The result is `np.median`'s bit for bit wherever no sum overflows, that
-    is for values within half the dtype's largest magnitude, as both
-    trackers' frequencies and confidences are.
+    One sort by (run, value); an odd run's median is its middle element, and
+    an even run's its two middle elements added and divided by 2 in the
+    values' dtype, as `np.median` does, so the result is its bit for bit
+    (an even run's sum overflows where `np.median`'s does).  Every length
+    is at least 1.
     """
     order = np.lexsort((values, np.repeat(np.arange(lengths.size), lengths)))
     starts = np.cumsum(lengths) - lengths
-    return (values[order[starts + (lengths - 1) // 2]] + values[order[starts + lengths // 2]]) / 2
+    # each run's middle element, or the upper of its two
+    medians, even = values[order[starts + lengths // 2]], lengths % 2 == 0
+    medians[even] = (values[order[starts[even] + lengths[even] // 2 - 1]] + medians[even]) / 2
+    return medians
 
 
 def _slots(track: FrequencyTrack, center: float, halfwidth: float,

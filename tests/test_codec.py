@@ -252,10 +252,9 @@ def float_runs(draw):
     """A float dtype and runs of values of it: ties, odd and even lengths, no run at all."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     info = np.finfo(dtype)
-    # within half the largest magnitude, where no sum overflows; a signed zero
-    # is drawn as +0.0, since which of two tied zeros sorts to the middle is the
-    # sort's choice
-    floats = st.floats(-info.max / 2, info.max / 2, width=info.bits).map(lambda v: v + 0.0)
+    # the whole finite range; a signed zero is drawn as +0.0, since which of
+    # two tied zeros sorts to the middle is the sort's choice
+    floats = st.floats(-info.max, info.max, width=info.bits).map(lambda v: v + 0.0)
     pool = draw(st.lists(floats, min_size=1, max_size=3))  # values drawn again make ties
     value = st.one_of(st.sampled_from(pool), floats)
     return dtype, draw(st.lists(st.lists(value, min_size=1, max_size=9), max_size=8))
@@ -265,12 +264,17 @@ def float_runs(draw):
 @given(float_runs())
 @example((np.float64, []))
 @example((np.float32, [[1.0], [0.1, 0.2], [3.0, 1.0, 3.0], [5.0, 4.0, 5.0, 4.0]]))
+# an odd run's middle element is its median however large; two large middle
+# elements overflow to inf in both
+@example((np.float64, [[1e308] * 3, [1e308, 1e308], [-1.7e308, 1.7e308, -1.7e308]]))
+@example((np.float32, [[3e38], [3e38, 3e38, 3e38, 3e38], [-3e38, 1.0, -3e38]]))
 def test_medians_are_np_median(dtype_runs):
     dtype, runs = dtype_runs
     values = np.array([v for run in runs for v in run], dtype=dtype)
     lengths = np.array([len(run) for run in runs], dtype=np.intp)
-    want = np.array([np.median(np.array(run, dtype=dtype)) for run in runs], dtype=dtype)
-    got = codec._medians(values, lengths)
+    with np.errstate(over="ignore"):  # an even run's sum may overflow, in np.median too
+        want = np.array([np.median(np.array(run, dtype=dtype)) for run in runs], dtype=dtype)
+        got = codec._medians(values, lengths)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 

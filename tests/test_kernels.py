@@ -1,4 +1,4 @@
-"""The per-sample kernels: their physics, and block-by-block equals one pass."""
+"""The per-sample kernels: their physics, their precision, and block-by-block equals one pass."""
 
 import inspect
 import math
@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 import lightleak
 from lightleak import _kernels
-from lightleak._kernels import level_fill, lowpass, pwm_wave, square_wave
+from lightleak._kernels import SEGMENT, level_fill, pwm_wave, sensor_wave
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from sensor_precision import GRID, reference_wave, rising_edges  # noqa: E402
 
 N = 500_000
 FS = 10_000_000.0
@@ -54,25 +57,129 @@ class TestStreamedEqualsOnePass:
 
     def test_blocks_with_carry(self):
         levels = _wavy_levels()
-        freq = 1_000.0 + 3_000.0 * levels
         x = np.random.default_rng(1).random(N)
         step = 19_777.0 / FS
 
         def stream(block):
-            phi = 0.0
-            y = x[0]
-            pwm, wave, low = [], [], []
+            state = None
+            pwm, wave = [], []
             for start in range(0, N, block):
                 pwm.append(pwm_wave(levels.__getitem__, step, start, min(start + block, N)))
-                part, phi = square_wave(freq[start:start + block], FS, phi)
+                part, state = sensor_wave(x[start:start + block], start, 0.96, 0.08, 0.001, state)
                 wave.append(part)
-                part = lowpass(x[start:start + block], 0.04, y)
-                y = part[-1]
-                low.append(part)
-            return np.concatenate(pwm), np.concatenate(wave), np.concatenate(low), phi
+            return np.concatenate(pwm), np.concatenate(wave), state
 
-        streamed, one_pass = stream(7919), stream(N)
-        assert all(np.array_equal(a, b) for a, b in zip(streamed, one_pass))
+        (pwm, wave, state), (pwm_1, wave_1, state_1) = stream(7919), stream(N)
+        assert N > 10 * SEGMENT
+        assert np.array_equal(pwm, pwm_1) and np.array_equal(wave, wave_1)
+        assert _same_state(state, state_1)
+
+
+def _same_state(a, b) -> bool:
+    """Whether two `sensor_wave` states hold the same bits."""
+    return all(np.array_equal(np.asarray(u), np.asarray(v)) for u, v in zip(a, b, strict=True))
+
+
+def _light(n, seed):
+    """PWM-like light: runs of on and off (1.01 and 0.01) with noise, clamped at 0."""
+    rng = np.random.default_rng(seed)
+    runs = rng.integers(1, 700, n // 100 + 1)
+    on = np.repeat(np.arange(runs.size) % 2, runs)[:n]
+    return np.maximum(0.01 + on + 0.01 * rng.standard_normal(n), 0.0)
+
+
+# blocks of 1 and 2 samples, blocks that end on a segment edge or cross it,
+# from starts before, on and after one
+@settings(max_examples=60, deadline=None)
+@example(offset=-3, blocks=[1, 2, 1, 1, 5000], decay=0.999, dark=0.0)
+@example(offset=0, blocks=[SEGMENT, 1, 2], decay=0.0, dark=0.0005)
+@example(offset=-1, blocks=[1, SEGMENT - 1, 2 * SEGMENT + 7], decay=0.99999, dark=0.0)
+@given(offset=st.integers(-3 * SEGMENT // 2, SEGMENT),
+       blocks=st.lists(st.one_of(st.integers(1, 2), st.integers(1, 2 * SEGMENT + 9)),
+                       min_size=1, max_size=6),
+       decay=st.sampled_from([0.0, 0.5, 0.995, 0.99999]),
+       dark=st.sampled_from([0.0, 0.0005]))
+def test_sensor_wave_split_anywhere_equals_one_pass(offset, blocks, decay, dark):
+    """Any split of a trace into blocks gives the one pass's bits and end
+    state, wherever the blocks fall on the segment grid."""
+    start = 3 * SEGMENT + offset
+    light = _light(sum(blocks), 7)
+    whole, end = sensor_wave(light, start, decay, 0.08, dark)
+    parts, state, at = [], None, 0
+    for size in blocks:
+        part, state = sensor_wave(light[at:at + size], start + at, decay, 0.08, dark, state)
+        parts.append(part)
+        at += size
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert _same_state(state, end)
+
+
+@pytest.mark.parametrize("tau, full_scale, dark", GRID,
+                         ids=[f"{tau:g}-{full:g}-{dark:g}" for tau, full, dark in GRID])
+def test_sensor_wave_matches_extended_precision(tau, full_scale, dark):
+    """Against both recurrences in np.longdouble, at most 2e-4 of the samples
+    differ and the rising edges agree.  The light is noisy, so the phase
+    does not land on half-integers, as it does at a time constant of 0 for
+    light of two values (where rounding decides those ties)."""
+    light = _light(7 * SEGMENT + 123, 8)
+    decay = math.exp(-1.0 / (tau * FS)) if tau > 0 else 0.0
+    wave, _ = sensor_wave(light, 0, decay, full_scale / FS, dark / FS)
+    ref = reference_wave(light, tau, FS, full_scale, dark)
+    assert np.count_nonzero(wave != ref) <= 2e-4 * light.size
+    assert rising_edges(wave) == rising_edges(ref)
+
+
+def test_reference_is_the_per_sample_recurrence():
+    """`reference_wave`'s chunked scan is the two recurrences run sample by
+    sample in np.longdouble, across several chunks."""
+    light = _light(3 * 4096 + 11, 9)
+    ld = np.longdouble
+    pole = np.exp(ld(-1) / (ld(2e-5) * ld(FS)))
+    y, phase, want = ld(light[0]), ld(0), np.empty(light.size, dtype=np.uint8)
+    for i, x in enumerate(light.astype(ld)):
+        y = (1 - pole) * x + pole * y
+        phase += (ld(5e3) + ld(1e5) * y) / ld(FS)
+        want[i] = phase - np.floor(phase) >= 0.5
+    assert np.array_equal(reference_wave(light, 2e-5, FS, 1e5, 5e3), want)
+
+
+def _level_per_line(bounds, times, levels, dt, idx):
+    """`level_fill` as a loop over the level lines that own samples of ``idx``."""
+    out = np.empty(idx.size)
+    cuts = np.searchsorted(idx, bounds)  # line j owns idx[cuts[j]:cuts[j+1]]
+    for j in np.flatnonzero(cuts[1:] > cuts[:-1]):
+        lo, hi = cuts[j], cuts[j + 1]
+        if j + 1 == times.size or levels[j + 1] == levels[j]:
+            out[lo:hi] = levels[j]
+            continue
+        frac = np.clip((idx[lo:hi] * dt - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
+        out[lo:hi] = levels[j] + (levels[j + 1] - levels[j]) * frac
+    return out
+
+
+# knots as `bulb._fade_knots` makes them: ramps, holds (no gap, or the same
+# target) and zero fades (two knots at one time)
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 255)), min_size=0,
+                      max_size=12),
+       fade=st.sampled_from([0, 1, 700]), seed=st.integers(0, 2 ** 16))
+def test_level_fill_is_the_per_line_loop(steps, fade, seed):
+    """One search and a few array operations give the loop's bits."""
+    dt = 1.0 / FS
+    times, levels = [0.0], [137.0]
+    for gap, target in steps:
+        at = times[-1] + gap * dt
+        times += [at, at + fade * dt]
+        levels += [levels[-1], float(target)]
+    times, levels = np.array(times), np.array(levels)
+    n = int(times[-1] * FS) + 500
+    bounds = np.append(np.clip(np.maximum.accumulate(np.ceil(times * FS).astype(np.int64)),
+                               0, n), n)
+    bounds[0] = 0
+    idx = np.unique(np.random.default_rng(seed).integers(0, n, 300))
+    want = _level_per_line(bounds, times, levels, dt, idx)
+    assert np.array_equal(level_fill(bounds, times, levels, dt, idx).view(np.int64),
+                          want.view(np.int64))
 
 
 def test_pwm_reads_the_level_at_period_starts_only():
@@ -168,15 +275,17 @@ def test_public_functions_are_the_traced_kernels():
     public = {name for name, fn in vars(_kernels).items()
               if not name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == _kernels.__name__}
-    assert public == {"level_fill", "pwm_wave", "lowpass", "square_wave"}
+    assert public == {"level_fill", "pwm_wave", "sensor_wave"}
 
 
 def test_kernels_leave_their_inputs_unchanged():
     rng = np.random.default_rng(5)
     x = rng.random(70_000)
-    freq = 1e5 + 7e5 * rng.random(70_000)
-    for array, call in ((x, lambda a: lowpass(a, 0.04, 0.3)),
-                        (freq, lambda a: square_wave(a, FS, 0.7))):
+    idx = np.arange(70_000)
+    bounds, times = np.array([0, 30_000, 70_000]), np.array([0.0, 0.003])
+    for array, call in ((x, lambda a: sensor_wave(a, SEGMENT - 5, 0.96, 0.08, 0.0)),
+                        (idx, lambda a: level_fill(bounds, times, np.array([3.0, 9.0]),
+                                                   1.0 / FS, a))):
         kept = array.copy()
         call(array)
         assert np.array_equal(array, kept)
@@ -191,38 +300,47 @@ class TestNumpyKernels:
         assert abs(mean - 128 / 255) <= 1 / period
 
     def test_lowpass_steady_state(self):
-        x = np.full(10_000, 0.7)
-        y = lowpass(x, 0.01, 0.7)
-        assert np.allclose(y, 0.7)
+        """Constant light from steady state: the phase is the ramp
+        ``(dark + gain * light) * (i + 1)`` from 0, low in each cycle's first half."""
+        wave, _ = sensor_wave(np.full(10_000, 0.7), 0, 0.99, 0.05, 0.002)
+        phase = (0.002 + 0.05 * 0.7) * np.arange(1, 10_001)
+        assert np.array_equal(wave, phase - np.floor(phase) >= 0.5)
 
     def test_lowpass_step_response(self):
-        x = np.ones(300)
-        y = lowpass(x, 0.01, 0.0)
-        assert y[0] == pytest.approx(0.01)
-        assert np.all(np.diff(y) > 0)
-        assert 0.9 < y[-1] < 1.0
+        """From dark, a step of light 1: the low-pass output is ``1 - b**k``
+        at the k-th lit sample, and each rising edge falls where its sum
+        (times the gain) first reaches a half-integer cycle."""
+        b, gain = 0.99, 0.1
+        wave, _ = sensor_wave(np.concatenate(([0.0], np.ones(3000))), 0, b, gain, 0.0)
+        k = np.arange(1, 3001)
+        phase = np.concatenate(([0.0], gain * (k - b * (1 - b ** k) / (1 - b))))
+        assert np.array_equal(wave, phase - np.floor(phase) >= 0.5)
+        # the rate grows toward gain: 10 samples a cycle once settled
+        periods = np.diff(np.flatnonzero(np.diff(wave) == 1))
+        assert periods[0] > 2 * periods[-1] and periods[-1] == 10
 
     def test_square_wave_rate(self):
-        wave, _ = square_wave(np.full(100_000, 400_000.0), FS, 0.0)
+        wave, _ = sensor_wave(np.full(100_000, 0.5), 0, 0.0, 800_000.0 / FS, 0.0)
         toggles = int(np.count_nonzero(np.diff(wave)))
         assert toggles / 2 / (100_000 / FS) == pytest.approx(400_000.0, abs=100)
 
     def test_empty_inputs(self):
         assert pwm_wave(np.zeros(0).__getitem__, 0.002, 0, 0).size == 0
-        assert lowpass(np.zeros(0), 0.5, 0.0).size == 0
-        assert square_wave(np.zeros(0), FS, 0.0)[0].size == 0
+        _, kept = sensor_wave(np.full(9, 0.3), 0, 0.5, 0.1, 0.0)
+        wave, state = sensor_wave(np.zeros(0), 9, 0.5, 0.1, 0.0, kept)
+        assert wave.size == 0 and state is kept
 
 
 def test_import_leaves_scipy_signal_unloaded():
     """``import lightleak`` does not pay for scipy.signal or scipy.fft; the
-    first STFT loads scipy.fft and `lowpass` loads scipy.signal."""
+    first STFT loads scipy.fft and `sensor_wave` loads scipy.signal."""
     src = str(Path(lightleak.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, numpy, lightleak; "
             "assert 'scipy.signal' not in sys.modules and 'scipy.fft' not in sys.modules; "
             "lightleak.stft(numpy.ones(8), 4, 2, sample_rate=1.0); "
             "assert 'scipy.fft' in sys.modules and 'scipy.signal' not in sys.modules; "
-            "from lightleak import _kernels; _kernels.lowpass(numpy.ones(3), 0.5, 0.0); "
+            "from lightleak import _kernels; _kernels.sensor_wave(numpy.ones(3), 0, 0.5, 0.1, 0.0); "
             "assert 'scipy.signal' in sys.modules")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
