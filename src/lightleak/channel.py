@@ -9,9 +9,10 @@ The low-pass and the oscillator's phase run as one recurrence from light to
 phase (`_kernels.sensor_wave`), on phase segments fixed in absolute samples.
 
 The link is streamed (`link_blocks`): one source renders the PWM waveform
-(from the level at period starts) and one noise draw, and feeds them to one
-tail per config, the optical path and the sensor, so configs that differ
-only in tail fields share the source.  Each step yields one block per tail; a single link is the
+(from the level at period starts, `PWM_BLOCKS` blocks per kernel call) and
+one noise draw, and feeds them a block at a time to one tail per config,
+the optical path and the sensor, so configs that differ only in tail fields
+share the source.  Each step yields one block per tail; a single link is the
 one-tail case, and `simulate_link` joins its blocks into one trace.
 
 The tails of a link take turns with one light buffer and one for the scaled
@@ -42,6 +43,14 @@ from .bulb import CommandSchedule
 TAIL_FIELDS = ("distance", "angle", "ambient_intensity", "noise_sigma",
                "sensor_full_scale_frequency", "sensor_dark_frequency",
                "sensor_time_constant")
+
+#: blocks of PWM waveform the source renders per `_kernels.pwm_wave` call.
+#: That kernel's work is per call and per PWM period more than per sample:
+#: at one call per block, its Python and small-array steps were most of its
+#: time, and what a busy host slowed most (twice as slow in the slowest
+#: quarter of criterion-5 transmissions).  Eight blocks of the one-byte
+#: waveform are 256 KiB.
+PWM_BLOCKS = 8
 
 
 def source_key(config: ChannelConfig) -> tuple:
@@ -133,7 +142,8 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
     noise, and each tail's sensor state carries over (its phase segments
     follow the absolute sample index too).
     Each tail's blocks joined are bit for bit its single-pass render, and no
-    stage holds more than a block.  The schedule, duration and PWM
+    stage holds more than a block, but for the PWM waveform, which is
+    rendered `PWM_BLOCKS` blocks at a time.  The schedule, duration and PWM
     resolution are checked here, before the first block is rendered.
     """
     configs = tuple(configs)
@@ -151,10 +161,12 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
 def _source(plan: bulb.LevelPlan, step: float,
             rng: np.random.Generator | None) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The transmit half: each block's PWM waveform and standard normals (None without noise)."""
-    for start in range(0, plan.n, traces.BLOCK_SAMPLES):
-        stop = min(start + traces.BLOCK_SAMPLES, plan.n)
-        pwm = _kernels.pwm_wave(plan.at, step, start, stop)
-        yield pwm, None if rng is None else rng.standard_normal(stop - start)
+    span = PWM_BLOCKS * traces.BLOCK_SAMPLES
+    for start in range(0, plan.n, span):
+        pwm = _kernels.pwm_wave(plan.at, step, start, min(start + span, plan.n))
+        # a span starts on a block edge, so its blocks are the stream's
+        for block in traces.blocks(pwm):
+            yield block, None if rng is None else rng.standard_normal(block.size)
 
 
 def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndarray, ...]]:

@@ -112,9 +112,9 @@ class TestRunEndToEnd:
         result = ll.run_end_to_end(config, alphabet, bytes(range(0x41, 0x49)))
         assert result.report.ber == 0.0
         n = result.samples_processed
-        blocks = -(-n // traces.BLOCK_SAMPLES)
-        assert len(asked) == blocks
-        assert sum(asked) <= np.ceil(n * bulb.pwm_step(config)) + blocks
+        spans = -(-n // (channel.PWM_BLOCKS * traces.BLOCK_SAMPLES))
+        assert len(asked) == spans
+        assert sum(asked) <= np.ceil(n * bulb.pwm_step(config)) + spans
 
     def test_unknown_tracker(self, fast_link):
         config, alphabet = fast_link
@@ -306,9 +306,10 @@ class TestWindowFanOut:
             alphabet=alphabet, payload=b"\x5a", tracker=tracker, seed=4)
         want, want_warnings = self._messages(lambda: self._reference(spec))
 
-        # every value's link has this many samples, the same blocks
+        # every value's link has this many samples, the same PWM spans
         _, duration = harness.transmit(spec.config, alphabet, spec.payload)
-        blocks = -(-bulb.sample_count(spec.config, duration) // traces.BLOCK_SAMPLES)
+        spans = -(-bulb.sample_count(spec.config, duration)
+                  // (channel.PWM_BLOCKS * traces.BLOCK_SAMPLES))
         passes = {"level_fill": 0, "pwm_wave": 0}
         for name in passes:
             kernel = getattr(_kernels, name)
@@ -319,7 +320,7 @@ class TestWindowFanOut:
 
             monkeypatch.setattr(_kernels, name, counted)
         got, got_warnings = self._messages(lambda: harness.sweep(spec))
-        assert passes == {"level_fill": spec.trials * blocks, "pwm_wave": spec.trials * blocks}
+        assert passes == {"level_fill": spec.trials * spans, "pwm_wave": spec.trials * spans}
         assert got == want
         assert got_warnings == want_warnings
 
