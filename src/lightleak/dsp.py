@@ -17,18 +17,22 @@ spectrogram fill).  A stream yields one block per tail at each step, as
 a ``(tail, window_length, hop)`` triple.
 
 The receive loop opens one worker thread for the call, joined on its every
-exit, and every batch's whole job (for a tracker, the batch's magnitude
-spectra and the tracker's batch function; for `stft`, the spectra) runs
-there, one job at a time in submission order, while the calling thread draws
-(for a link: renders) the next blocks, cuts frames, submits jobs and hands
-results on; the FFT and numpy's large loops release the GIL.  Only private
-functions run on the worker: every public function runs on the calling
-thread.  No more batches than there are receivers wait on the worker, and
-results are handed on from that one queue in submission order, so a
-receiver's batches are taken in order.  A tracker's spectra are made and
-consumed within one job, so at most one batch of spectra is alive at a time,
-and each frame's results depend on that frame alone, so the output is bit
-for bit that of a serial run.
+exit.  While the stream lasts, every batch's whole job (for a tracker, the
+batch's magnitude spectra and the tracker's batch function; for `stft`, the
+spectra) runs there, one job at a time in submission order, while the
+calling thread draws (for a link: renders) the next blocks, cuts frames,
+submits jobs and hands results on; the FFT and numpy's large loops release
+the GIL.  Once the stream has ended, the calling thread, rather than only
+wait for the oldest job, also runs queued jobs from the newest end, each in
+pieces of at most ``_DRAIN_PIECE`` elements, while the worker takes them
+from the oldest end.  Only private functions run on the worker: every
+public function runs on the calling thread.  No more batches than there are
+receivers wait in the queue, and results are handed on from it in
+submission order, so a receiver's batches are taken in order.  A tracker's
+spectra are made and consumed within one job or piece, so at most one batch
+of spectra is alive on the worker and one piece on the calling thread, and
+each frame's results depend on that frame alone, so the output is bit for
+bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -44,7 +48,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +61,9 @@ from .traces import SensorTrace
 #: frames per STFT batch (fewer when the hop is longer than the window, see
 #: `_Framer`); batches always start at a multiple of the batch size
 _STFT_BLOCK = 256
+#: elements (frames times window length) per piece of a job that the calling
+#: thread runs once the stream has ended; a piece holds at least one frame
+_DRAIN_PIECE = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,50 +245,78 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
     drawn, so the stream is produced once.  Each batch's whole job,
     ``job(frames, window)``, is submitted to the call's one worker thread
     (joined on every exit), which runs the jobs one at a time in submission
-    order while the calling thread draws the next steps; no job runs on the
-    calling thread.  Results go, from that one queue and in submission
-    order, to ``take(receiver, result)`` on the calling thread: each as soon
-    as it is done, and the oldest, waited for, before a batch would make
-    more batches queued than there are receivers.  Returns, per receiver,
-    None or the first error its framer or one of its batches raised; no
-    later batch of that receiver runs.  An error of the stream itself, or of
-    ``take``, is raised once the worker is joined.
+    order while the calling thread draws the next steps.  Results go, from
+    that one queue and in submission order, to ``take(receiver, result)`` on
+    the calling thread: each as soon as it is done, and the oldest, waited
+    for, before a batch would make more batches queued than there are
+    receivers.  Once the stream has ended, before each wait the calling
+    thread runs, newest first, a queued job that it can cancel (so it has
+    not started) and that is its receiver's only unfinished one, as
+    consecutive pieces of at most ``_DRAIN_PIECE`` elements (at least one
+    frame) whose results are taken in turn; so a receiver's jobs never run
+    on two threads at once.  Returns, per receiver, None or the first error
+    its framer or one of its batches raised; no later batch of that
+    receiver runs.  An error of the stream itself, or of ``take``, is raised
+    once the worker is joined.
     """
     framers = [(tail, _Framer(window_length, hop)) for tail, window_length, hop in receivers]
     errors = [None] * len(framers)
-    queue = deque()  # (receiver, future) of the batches on the worker, in submission order
-    failed = set()  # receivers whose batch failed on the worker; only the worker touches it
+    # (receiver, future, box, window) of the batches not yet handed on, in submission
+    # order; the box holds the batch's frames until its job starts
+    queue = deque()
+    failed = set()  # receivers whose batch failed; no later job of theirs starts
+    ended = False  # the stream has ended: the calling thread runs jobs too
     executor = ThreadPoolExecutor(max_workers=1)
 
-    def run(r, frames, window):  # on the worker, in submission order
+    def run(r, box, window, rows):  # a job's results, in consecutive pieces of `rows` frames
+        frames = box.pop()  # a started job takes its frames out of the queue
         if r in failed:  # an earlier batch of r failed: this one goes nowhere
-            return None
+            return []
         try:
-            return job(frames, window)
+            return [job(frames[q:q + rows], window) for q in range(0, len(frames), rows)]
         except Exception:
             failed.add(r)
             raise
 
+    def run_here():  # run the newest job that may run on this thread; False if none
+        for i in reversed(range(len(queue))):
+            r, future, box, window = queue[i]
+            if (all(f.done() for s, f, *_ in queue if s == r and f is not future)
+                    and future.cancel()):
+                ran = Future()  # this thread runs the job as an executor would
+                try:
+                    ran.set_result(run(r, box, window, max(1, _DRAIN_PIECE // window.size)))
+                except Exception as exc:
+                    ran.set_exception(exc)
+                queue[i] = (r, ran, box, window)
+                return True
+        return False
+
     def hand_on():
-        r, future = queue.popleft()
+        while ended and not queue[0][1].done() and run_here():
+            pass
+        r, future, _, _ = queue.popleft()
         if errors[r] is None:
             try:
-                result = future.result()
+                results = future.result()
             except Exception as exc:
                 errors[r] = exc
             else:
-                take(r, result)
+                for result in results:
+                    take(r, result)
 
     def feed(r, frames, window):
         while queue and (len(queue) >= len(framers) or queue[0][1].done()):
             hand_on()
-        queue.append((r, executor.submit(run, r, frames, window)))  # run skips a failed r
+        box = [frames]
+        queue.append((r, executor.submit(run, r, box, window, len(frames)), box, window))
 
     with executor:
         for step in steps:
             for r, (tail, framer) in enumerate(framers):
                 for frames in framer.push(step[tail]) if errors[r] is None else ():
                     feed(r, frames, framer.window)
+        ended = True
         for r, (_, framer) in enumerate(framers):
             try:
                 if errors[r] is None and (frames := framer.close()) is not None:

@@ -322,6 +322,29 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
     assert np.allclose(track.confidences, want[:, 1], rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 300), window=st.sampled_from([2 ** k for k in range(1, 14)]),
+       kind=st.sampled_from(["bits_uint8", "float64"]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_row_pieces_match_the_whole_batch(rows, window, kind, seed, data):
+    # what lets the receive loop run a job in pieces: every row of a batch is
+    # its own, so consecutive pieces, concatenated, are the whole batch bit for bit
+    hop = data.draw(st.integers(1, window), label="hop")
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=8), label="cuts")
+                  if rows > 1 else ())
+    rng = np.random.default_rng(seed)
+    n = (rows - 1) * hop + window
+    x = rng.integers(0, 2, n, dtype=np.uint8) if kind == "bits_uint8" else rng.normal(0.5, 1.0, n)
+    frames, hann = sliding_window_view(x, window)[::hop], hann_window(window)
+    pieces = [frames[a:b] for a, b in zip([0, *cuts], [*cuts, rows])]
+    assert np.array_equal(np.concatenate([dsp._spectra(p, hann) for p in pieces]),
+                          dsp._spectra(frames, hann))
+    for fn, _ in dsp.TRACKERS.values():
+        whole = fn(frames, hann, FS)
+        split = [np.concatenate(column) for column in zip(*(fn(p, hann, FS) for p in pieces))]
+        assert all(np.array_equal(a, b) for a, b in zip(split, whole, strict=True))
+
+
 def _serial_track(x, window, hop, tracker):
     """Frequencies and confidences of the ``TRACKERS[tracker]`` batch function
     over every batch of ``x``'s frames in turn, with no worker."""
@@ -403,13 +426,15 @@ class TestBlockEdges:
         assert np.array_equal(framer.window, hann_window(window))
 
     # several receivers, whose batches share the one worker: a real one, and
-    # scripted ones that seem busy or idle at chosen batches
+    # scripted ones that seem busy or idle at chosen batches; once the stream
+    # has ended the calling thread runs jobs too, here in pieces of 24 elements
     @pytest.mark.parametrize("tracker, script", [
         pytest.param(tracker, script, id="-".join([tracker, *map(str, script or ())]))
         for tracker in sorted(dsp.TRACKERS)
         for script in (None, (False,), (True,), (True, False), (False, False, True))])
     def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker, script):
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
+        monkeypatch.setattr(dsp, "_DRAIN_PIECE", 24)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
         # 2998 samples end the frames of (8, 8) and (64, 4) with a short batch, which
         # `close` gives, and those of the others with a full one
@@ -418,15 +443,49 @@ class TestBlockEdges:
         want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
         executor = dsp.ThreadPoolExecutor if script is None else ScriptedExecutor(script)
         fn, floor = dsp.TRACKERS[tracker]
-        receive, log, ran = dsp._receive, [], []
+        receive, log = dsp._receive, []
+        jobs = []  # per submitted job: its receiver, where it ran, its pieces' frame counts
+        running = {}  # where -> the job running there now
+        caller = threading.get_ident()
 
-        def pool(max_workers):  # logs each batch's receiver as it is submitted
+        def where():
+            if script is None:
+                return "here" if threading.get_ident() == caller else "worker"
+            return "worker" if executor.running is not None else "here"
+
+        def pool(max_workers):  # logs each job's submission, where it runs, and its end
             pool = executor(max_workers=max_workers)
             submit = pool.submit
 
             def logged(run, r, *args):
+                k = len(jobs)
+                jobs.append({"r": r, "ran": None, "pieces": [], "finished": False})
                 log.append(("submit", r))
-                return submit(run, r, *args)
+
+                def on_worker(*args):
+                    jobs[k]["ran"], running["worker"] = "worker", k
+                    try:
+                        return run(*args)
+                    finally:
+                        jobs[k]["finished"] = True
+
+                future = submit(on_worker, r, *args)
+                cancel = future.cancel
+
+                def logged_cancel():
+                    if not cancel():
+                        return False
+                    # the job had not started, and every other job of its receiver
+                    # had finished (this thread finishes a job before it cancels another)
+                    assert jobs[k]["ran"] is None
+                    assert all(job["finished"] or job["ran"] == "here"
+                               for i, job in enumerate(jobs) if job["r"] == r and i != k)
+                    jobs[k]["ran"], running["here"] = "here", k
+                    log.append(("here", k))
+                    return True
+
+                future.cancel = logged_cancel
+                return future
 
             pool.submit = logged
             return pool
@@ -438,35 +497,58 @@ class TestBlockEdges:
 
             return receive(steps, receivers, job, logged)
 
-        def logged_fn(batch, window, sample_rate):  # logs where each job runs
-            if script is None:
-                ran.append(threading.get_ident())
-            else:  # the call a scripted job runs in is the last one logged
-                ran.append(executor.events[-1][0])
-                executor.events.append(("job", window.size))
+        def logged_fn(batch, window, sample_rate):  # logs each piece where it runs
+            k = running[where()]
+            jobs[k]["pieces"].append(batch.shape[0])
+            assert window.size == receivers[jobs[k]["r"]][1]
             return fn(batch, window, sample_rate)
+
+        def stream():  # logs the end of the stream
+            yield from ((block,) for block in traces.blocks(x))
+            log.append(("ended", None))
 
         monkeypatch.setattr(dsp, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(dsp, "_receive", logged_receive)
         monkeypatch.setitem(dsp.TRACKERS, tracker, (logged_fn, floor))
-        got = dsp.track_all(x, receivers, tracker, FS)
+        got = dsp.track_all(stream(), receivers, tracker, FS)
         for (_, window, hop), track, (freqs, confs) in zip(receivers, got, want, strict=True):
             assert np.array_equal(track.frequencies, freqs)
             assert np.array_equal(track.confidences, confs)
             assert np.array_equal(track.frame_times,
                                   dsp._frame_times(freqs.size, window, hop, FS))
-        # handed on in submission order, with no more batches queued than receivers
-        submitted = [r for kind, r in log if kind == "submit"]
-        assert [r for kind, r in log if kind == "take"] == submitted
-        queued = np.cumsum([1 if kind == "submit" else -1 for kind, _ in log]).max()
-        assert queued <= len(receivers)
+        # every job ran, and no job ran here before the stream ended
+        assert all(job["ran"] is not None for job in jobs)
+        kinds = [kind for kind, _ in log]
+        ended = kinds.index("ended")
+        assert "here" not in kinds[:ended]
+        # the worker ran whole batches; this thread ran its jobs in consecutive
+        # pieces of at most 24 elements, or of one frame
+        for job in jobs:
+            window = receivers[job["r"]][1]
+            if job["ran"] == "worker":
+                assert len(job["pieces"]) == 1
+            else:
+                rows = max(1, 24 // window)
+                assert job["pieces"][:-1] == [rows] * (len(job["pieces"]) - 1)
+                assert 1 <= job["pieces"][-1] <= rows
+        if script == (False,):  # a worker that never seems done leaves jobs to this thread
+            assert "here" in kinds
+        # handed on in submission order, piece by piece, with no more batches
+        # queued than receivers
+        assert [r for kind, r in log if kind == "take"] == [
+            job["r"] for job in jobs for _ in job["pieces"]]
+        last_takes = set(np.cumsum([len(job["pieces"]) for job in jobs]).tolist())
+        queued, most, taken = 0, 0, 0
+        for kind in kinds:  # a job leaves the queue with its last piece's take
+            if kind == "submit":
+                queued += 1
+                most = max(most, queued)
+            elif kind == "take":
+                taken += 1
+                queued -= taken in last_takes
+        assert most <= len(receivers)
         if script == (False,):  # a worker that never seems done fills the queue
-            assert queued == len(receivers)
-        assert len(ran) == len(submitted)
-        if script is None:
-            assert threading.get_ident() not in ran
-        else:  # every job ran inside a future's result(), that is, on the worker
-            assert set(ran) == {"result"}
+            assert most == len(receivers)
 
     def test_at_most_one_batch_of_spectra_is_alive(self, monkeypatch):
         spectra, made, most = dsp._spectra, [], 0
@@ -475,18 +557,20 @@ class TestBlockEdges:
             nonlocal most
             mags = spectra(frames, window)
             made.append(weakref.ref(mags))
-            most = max(most, sum(ref() is not None for ref in made))
+            most = max(most, sum(m.size for m in (ref() for ref in made) if m is not None))
             return mags
 
         monkeypatch.setattr(dsp, "_spectra", counted)
-        monkeypatch.setattr(dsp, "_STFT_BLOCK", 16)
-        x = np.random.default_rng(7).integers(0, 2, 400_000, dtype=np.uint8)
-        receivers = [(0, 256, 128), (0, 512, 256), (0, 1024, 512), (0, 2048, 1024),
-                     (0, 4096, 2048)]
+        # a criterion-7 stream: the larger windows' only batch comes after the last block
+        x = np.random.default_rng(7).integers(0, 2, 520_000, dtype=np.uint8)
+        receivers = [(0, 1024, 512), (0, 2048, 1024), (0, 4096, 2048), (0, 8192, 4096)]
         tracks = dsp.track_all(x, receivers, sample_rate=FS)
         assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
-        assert len(made) > 50
-        assert most == 1
+        assert len(made) >= 8  # 4 + 2 + 1 + 1 batches, more where pieces ran here
+        batch = max(min(dsp._STFT_BLOCK, len(track)) * (window // 2 + 1)
+                    for track, (_, window, _) in zip(tracks, receivers))
+        piece = max(max(1, (1 << 17) // window) * (window // 2 + 1) for _, window, _ in receivers)
+        assert most <= batch + piece
 
     def test_a_stream_error_joins_the_worker(self, monkeypatch):
         spectra = dsp._spectra

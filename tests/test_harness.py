@@ -448,6 +448,40 @@ class TestReceiveAll:
         assert any(future.raised is bad for kind, future in scripted.events if kind == "result")
 
 
+    def test_a_piece_error_is_its_receivers_own(self, fast_link, monkeypatch):
+        # a scripted worker that never seems done leaves the queued jobs to the
+        # calling thread once the stream has ended, which runs them in pieces
+        track, floor = dsp.TRACKERS["stft"]
+        config, alphabet = fast_link
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        scripted = ScriptedExecutor([False])
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", scripted)
+        calls = []  # (window, frames, run here) of each call
+
+        def flaky(frames, window, sample_rate):  # the 2048 window's second piece here fails
+            calls.append(call := (window.size, frames.shape[0], scripted.running is None))
+            if call == (2048, 64, True) and calls.count(call) == 2:
+                raise DomainError("a piece failed")
+            return track(frames, window, sample_rate)
+
+        monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor))
+        steps = channel.link_blocks(schedule, [config], duration)
+        # the 2048 receiver last, so its closing batch is queued before its failed
+        # batch is handed on: only the failure itself keeps that batch from running
+        ok, also_ok, bad = harness.receive_all(
+            steps, alphabet, [(0, 4096, 2048), (0, 4096, 1024), (0, 2048, 1024)],
+            reference=b"\x41", sample_rate=config.sample_rate)
+        assert ok.ber == 0.0 and also_ok.ber == 0.0
+        assert isinstance(bad, DomainError) and bad.stage == "track"
+        assert str(bad) == "a piece failed"
+        # the failing call was the second 64-frame piece of a 2048 batch run on the
+        # calling thread, and no later piece or batch of that receiver ran
+        failed = [i for i, call in enumerate(calls) if call == (2048, 64, True)][1]
+        assert calls[failed - 1] == (2048, 64, True)
+        assert all(window != 2048 for window, _, _ in calls[failed + 1:])
+        assert not any(future.raised for kind, future in scripted.events if kind == "result")
+
+
 def _record_threads(monkeypatch, idents: list) -> None:
     """Wrap every public function of the link's and the receiver's modules
     so that it records the thread that calls it."""
@@ -467,13 +501,22 @@ def _record_threads(monkeypatch, idents: list) -> None:
 def test_public_functions_run_on_the_calling_thread(fast_link, monkeypatch):
     public = []
     _record_threads(monkeypatch, public)
+    caller = threading.get_ident()
+    link_blocks, stream = channel.link_blocks, {"ended": False}
+
+    def marked(*args, **kwargs):  # a link stream that marks its end
+        stream["ended"] = False
+        yield from link_blocks(*args, **kwargs)
+        stream["ended"] = True
+
+    monkeypatch.setattr(channel, "link_blocks", marked)
     config, alphabet = fast_link
     schedule, duration = harness.transmit(config, alphabet, b"\x5a")
     for tracker, (fn, floor) in list(dsp.TRACKERS.items()):
         batches = []
 
         def recorded(batch, window, sample_rate, fn=fn, batches=batches):
-            batches.append(threading.get_ident())
+            batches.append((threading.get_ident(), stream["ended"]))
             return fn(batch, window, sample_rate)
 
         monkeypatch.setitem(dsp.TRACKERS, tracker, (recorded, floor))
@@ -483,8 +526,11 @@ def test_public_functions_run_on_the_calling_thread(fast_link, monkeypatch):
         tracks = dsp.track_all(steps, [(0, 4096, 2048), (1, 2048, 1024)], tracker,
                                sample_rate=config.sample_rate)
         assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
-        assert threading.get_ident() not in batches, tracker  # all ran on the worker
-    assert set(public) == {threading.get_ident()}
+        # every batch that ran while its stream lasted ran on the worker; only
+        # once it had ended may the calling thread run one
+        assert not [ended for ident, ended in batches if ident == caller and not ended], tracker
+        assert any(ident != caller for ident, _ in batches), tracker
+    assert set(public) == {caller}
 
 
 class TestSweep:
