@@ -102,6 +102,17 @@ def _sensor(config: ChannelConfig) -> tuple[float, float, float]:
             config.sensor_full_scale_frequency / rate, config.sensor_dark_frequency / rate)
 
 
+def sensor_top_frequency(config: ChannelConfig) -> float:
+    """The highest tone the sensor is expected to make on ``config``'s link, in Hz.
+
+    ``dark + full_scale * (geometric_gain + ambient + 4 * noise_sigma)``: the
+    oscillator's frequency in the light of a fully lit PWM period, four
+    noise sigmas above its mean.
+    """
+    return config.sensor_dark_frequency + config.sensor_full_scale_frequency * (
+        config.geometric_gain + config.ambient_intensity + 4.0 * config.noise_sigma)
+
+
 def sensor_response(intensity: IntensityTrace, config: ChannelConfig) -> SensorTrace:
     """Square wave produced by the light-to-frequency sensor.
 

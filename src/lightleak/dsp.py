@@ -14,7 +14,19 @@ a long capture never has to be held whole, and one receive loop
 batch, as soon as it is complete, to a tracker (or, in `stft`, the
 spectrogram fill).  A stream yields one block per tail at each step, as
 `channel.link_blocks` does (a trace or an array is one tail); a receiver is
-a ``(tail, window_length, hop)`` triple.
+a ``(tail, window_length, hop)`` triple, or ``(tail, window_length, hop,
+gate)``.
+
+A receiver with a gate D above 1 reads its tail as a pulse counter does:
+it sums each gate of D samples, counted from the stream's start, and frames
+the sums, ``window_length // D`` of them a frame and ``hop // D`` apart, at
+the sample rate over D.  So the bin width (the sample rate over
+``window_length``), the frame count and the frame times are those of the
+full-rate receiver, while each frame's FFT is D times shorter.  The sums of
+the link's 0/1 bytes are bytes too, taken a word at a time (`_gate_sums`).
+`harness` gives each STFT receiver of a link the largest D its sensor's
+top tone allows; `stft`, the zero-crossing tracker and a trace read without
+its config keep D = 1.
 
 The receive loop opens one worker thread for the call, joined on its every
 exit.  While the stream lasts, every batch's whole job (for a tracker, the
@@ -36,10 +48,14 @@ bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
-the sweeps and trace files, float64 for float input.  Against float64 on the
-criterion-5, -6 and -7 links (11 778 frames), float32 moved no peak bin, a
-refined frequency by at most 2.4e-6 of a bin (0.0062 Hz), a confidence by at
-most 3.3e-7 relative and a magnitude by at most 2.5e-7 of its frame's
+the sweeps and trace files (and for their gate sums), float64 for float
+input.  Against float64 on the criterion-5, -6 and -7 links (11 778 frames),
+float32 moved no peak bin, a refined frequency by at most 2.4e-6 of a bin
+(0.0062 Hz), a confidence by at most 3.3e-7 relative and a magnitude by at
+most 2.5e-7 of its frame's largest.  On the same links' gate sums, with the
+gates the harness gives them (the same 11 778 frames), it moved no peak bin,
+a refined frequency by at most 2.9e-6 of a bin (0.0069 Hz), a confidence by
+at most 3.3e-7 relative and a magnitude by at most 2.8e-7 of its frame's
 largest.
 """
 
@@ -64,6 +80,8 @@ _STFT_BLOCK = 256
 #: elements (frames times window length) per piece of a job that the calling
 #: thread runs once the stream has ended; a piece holds at least one frame
 _DRAIN_PIECE = 1 << 17
+#: the longest gate (see `_Framer`): its sum of 0/1 samples fits in a byte
+GATE_MAX = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,34 +170,57 @@ def check_framing(window_length: int, hop: int) -> None:
 class _Framer:
     """Cuts a pushed stream of sample blocks into batches of frames.
 
-    Frame ``f`` is ``x[f*hop : f*hop + window_length]``; batch ``k`` holds
-    frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one), whatever the
-    block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
+    With a ``gate`` D above 1, the framer first sums each gate of D samples
+    (samples ``g*D`` up to ``(g+1)*D``, counted from the stream's start, so a
+    gate may span two blocks; see `_gate_sums`) and frames the sums: a frame
+    is then ``window_length // D`` sums, ``hop // D`` apart, and the
+    receiver's rate is the sample rate over D.  D must be a power of two up
+    to ``GATE_MAX`` that divides the window length and the hop, and the
+    stream's samples must be 0/1 bytes.  Frame ``f`` is ``x[f*hop :
+    f*hop + window_length]`` of the (summed) stream ``x``, with the window
+    length and hop in its points; a stream of N samples gives
+    ``floor((N - window_length)/hop) + 1`` frames, gated or not.  Batch
+    ``k`` holds frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one),
+    whatever the block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
     ``_STFT_BLOCK * window_length // hop`` (at least 1) when the hop is
-    longer than the window, so a batch never spans more samples than
-    ``_STFT_BLOCK`` windows.  `push` returns the batches whose last sample
+    longer than the window, so a batch never spans more points than
+    ``_STFT_BLOCK`` windows.  `push` returns the batches whose last point
     the block brings, as strided views (no copy); `close` returns the last,
     shorter batch, or None if no frame is left, and raises `DomainError` if
     the stream ended before one full window.  ``window``, the receiver's
-    Hann window, is built with the first batch, so a stream shorter than its
-    window never builds one.  The framer keeps only the samples that later
-    frames still need, so memory does not grow with the stream.
+    Hann window of one frame's points, is built with the first batch, so a
+    stream shorter than its window never builds one.  The framer keeps only
+    the samples that later frames still need, so memory does not grow with
+    the stream.
     """
 
-    def __init__(self, window_length: int, hop: int):
+    def __init__(self, window_length: int, hop: int, gate: int = 1):
         check_framing(window_length, hop)
-        self.window_length, self.hop, self.window = window_length, hop, None
+        if not (isinstance(gate, numbers.Integral) and 1 <= gate <= GATE_MAX
+                and not gate & (gate - 1) and window_length % gate == hop % gate == 0):
+            raise DomainError(f"gate must be a power of two up to {GATE_MAX} that divides "
+                              f"the window length and the hop, got {gate!r}")
+        window_length, hop = window_length // gate, hop // gate
+        check_framing(window_length, hop)
+        self.window_length, self.hop, self.gate, self.window = window_length, hop, gate, None
         frames = min(_STFT_BLOCK, max(1, _STFT_BLOCK * window_length // hop))
-        self._span = (frames - 1) * hop + window_length  # samples of a full batch
+        self._span = (frames - 1) * hop + window_length  # points of a full batch
         self._step = frames * hop  # from one batch's first frame to the next's
         self._pending, self._held, self._seen, self._skip = [], 0, 0, 0
+        self._partial = np.empty(0, np.uint8)  # the samples of a gate still open
 
     def push(self, block: np.ndarray) -> list[np.ndarray]:
         if np.ndim(block) != 1:  # a bare array as a step gives its samples as blocks
             raise DomainError(f"a stream block must be one-dimensional, got {np.ndim(block)} "
                               "dimensions; a stream yields a tuple of blocks per step")
         self._seen += block.size
-        if self._skip:  # a hop longer than the window jumps over these samples
+        if self.gate > 1:
+            if self._partial.size:
+                block = np.concatenate((self._partial, block))
+            closed = block.size - block.size % self.gate
+            self._partial = block[closed:].copy()
+            block = _gate_sums(block[:closed], self.gate)
+        if self._skip:  # a hop longer than the window jumps over these points
             block, self._skip = block[self._skip:], max(0, self._skip - block.size)
         self._pending.append(block)
         self._held += block.size
@@ -195,9 +236,9 @@ class _Framer:
         return [self._frames(buf[start:start + self._span]) for start in starts]
 
     def close(self) -> np.ndarray | None:
-        if self._seen < self.window_length:
+        if self._seen < self.window_length * self.gate:
             raise DomainError(f"input has {self._seen} samples, "
-                              f"need at least one window ({self.window_length})")
+                              f"need at least one window ({self.window_length * self.gate})")
         if self._held < self.window_length:
             return None
         return self._frames(np.concatenate(self._pending))
@@ -206,6 +247,27 @@ class _Framer:
         if self.window is None:
             self.window = hann_window(self.window_length)
         return sliding_window_view(segment, self.window_length)[::self.hop]
+
+
+def _gate_sums(x: np.ndarray, gate: int) -> np.ndarray:
+    """The sum of each gate of ``gate`` samples of ``x``, 0/1 bytes a
+    multiple of ``gate`` long, as bytes.
+
+    Read as words of ``min(gate, 8)`` bytes, each word times ``0x01...01``
+    has the sum of its bytes in its top byte, whatever the byte order, since
+    a sum of at most 8 ones carries into no other byte; a longer gate then
+    adds neighbouring words' sums in pairs.  Bit for bit
+    ``x.reshape(-1, gate).sum(1)``.
+    """
+    if x.dtype != np.uint8:
+        raise DomainError(f"a gate sums 0/1 bytes, got {x.dtype} samples")
+    word = np.dtype(f"u{min(gate, 8)}")
+    sums = np.ascontiguousarray(x).view(word) * word.type(int("01" * word.itemsize, 16))
+    sums >>= 8 * (word.itemsize - 1)
+    sums = sums.astype(np.uint8)
+    while gate > 8:
+        sums, gate = sums[0::2] + sums[1::2], gate // 2
+    return sums
 
 
 def _frame_times(n_frames: int, window_length: int, hop: int, fs: float) -> np.ndarray:
@@ -239,13 +301,13 @@ def _spectra(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 def _receive(steps: Iterable, receivers: list, job, take) -> list:
-    """Feed a stream to ``(tail, window_length, hop)`` receivers in lockstep.
+    """Feed a stream to ``(tail, window_length, hop, gate)`` receivers in lockstep.
 
     Every step goes to every receiver's `_Framer` before the next step is
     drawn, so the stream is produced once.  Each batch's whole job,
-    ``job(frames, window)``, is submitted to the call's one worker thread
-    (joined on every exit), which runs the jobs one at a time in submission
-    order while the calling thread draws the next steps.  Results go, from
+    ``job(receiver, frames, window)``, is submitted to the call's one worker
+    thread (joined on every exit), which runs the jobs one at a time in
+    submission order while the calling thread draws the next steps.  Results go, from
     that one queue and in submission order, to ``take(receiver, result)`` on
     the calling thread: each as soon as it is done, and the oldest, waited
     for, before a batch would make more batches queued than there are
@@ -259,7 +321,8 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
     receiver runs.  An error of the stream itself, or of ``take``, is raised
     once the worker is joined.
     """
-    framers = [(tail, _Framer(window_length, hop)) for tail, window_length, hop in receivers]
+    framers = [(tail, _Framer(window_length, hop, gate))
+               for tail, window_length, hop, gate in receivers]
     errors = [None] * len(framers)
     # (receiver, future, box, window) of the batches not yet handed on, in submission
     # order; the box holds the batch's frames until its job starts
@@ -273,7 +336,7 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
         if r in failed:  # an earlier batch of r failed: this one goes nowhere
             return []
         try:
-            return [job(frames[q:q + rows], window) for q in range(0, len(frames), rows)]
+            return [job(r, frames[q:q + rows], window) for q in range(0, len(frames), rows)]
         except Exception:
             failed.add(r)
             raise
@@ -359,7 +422,8 @@ def stft(samples, window_length: int, hop: int, sample_rate: float | None = None
         mags[filled:filled + batch.shape[0]] = batch
         filled += batch.shape[0]
 
-    error, = _receive(steps, [(0, window_length, hop)], _spectra, fill)
+    error, = _receive(steps, [(0, window_length, hop, 1)],
+                      lambda _, frames, window: _spectra(frames, window), fill)
     if error is not None:
         raise error
     times = _frame_times(mags.shape[0], window_length, hop, fs)
@@ -448,20 +512,32 @@ def track_all(samples, receivers: list, tracker: str = "stft",
     last two with ``sample_rate``) through `_receive`, whose job for each
     batch of a receiver's frames, as soon as it is complete, is the
     ``TRACKERS[tracker]`` batch function of the frames.  ``receivers`` lists
-    ``(tail, window_length, hop)`` triples.  Returns, per receiver and in
-    receiver order, its `FrequencyTrack` or the `DomainError` it ended with
-    (a stream shorter than its window, which then never builds its window,
-    or the first `DomainError` one of its batches raised).  Another error of
-    a batch, or an error of the stream itself, is raised once the worker has
-    finished.
+    ``(tail, window_length, hop)`` triples; a fourth element, a gate D (1 if
+    left out), has the receiver sum each gate of D samples of its tail, 0/1
+    bytes, before framing them (see `_Framer`): its frames are then
+    ``window_length // D`` sums at the sample rate over D, so the bin width
+    (the sample rate over ``window_length``), the frame count and the frame
+    times are those of the full-rate receiver; the harness derives D from
+    the link's config.  Returns, per receiver and in receiver order, its
+    `FrequencyTrack` or the `DomainError` it ended with (a stream shorter
+    than its window, which then never builds its window, or the first
+    `DomainError` one of its batches raised).  Another error of a batch, or
+    an error of the stream itself, is raised once the worker has finished.
     """
     steps, fs = _as_stream(samples, sample_rate)
     fn, _ = TRACKERS[tracker]
+    receivers = [_receiver(*receiver) for receiver in receivers]
+    rates = [fs / gate for *_, gate in receivers]  # exact: the gate is a power of two
     results = [[] for _ in receivers]
-    errors = _receive(steps, receivers, lambda frames, window: fn(frames, window, fs),
+    errors = _receive(steps, receivers, lambda r, frames, window: fn(frames, window, rates[r]),
                       lambda r, result: results[r].append(result))
     return [_finish(batches, error, window_length, hop, fs)
-            for (_, window_length, hop), batches, error in zip(receivers, results, errors)]
+            for (_, window_length, hop, _), batches, error in zip(receivers, results, errors)]
+
+
+def _receiver(tail: int, window_length: int, hop: int, gate: int = 1) -> tuple:
+    """A receiver as `_receive` takes it: ``(tail, window_length, hop, gate)``."""
+    return tail, window_length, hop, gate
 
 
 def _finish(batches: list, error, window_length: int, hop: int,

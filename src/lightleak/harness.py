@@ -4,9 +4,13 @@
 ``receive_all`` tracks a sensor stream with ``(tail, window_length, hop)``
 receivers, calibrates from the preamble, classifies symbols and decodes,
 and ``receive`` is its one-receiver case.  ``run_end_to_end`` joins the two
-through ``channel.link_blocks`` with one tail, block by block.  The CLI uses
-the same pieces, so the file pipeline and the in-memory one cannot drift
-apart.  Everything is deterministic given the config seed.
+through ``channel.link_blocks`` with one tail, block by block.  Knowing the
+link's config, it and ``sweep`` give each STFT receiver the gate D that
+config allows (`_gate`): the receiver sums each gate of D samples before
+its STFT (see `dsp.track_all`); a trace read without its config is tracked
+at the full rate.  The CLI uses the same pieces, so the file pipeline and
+the in-memory one cannot drift apart.  Everything is deterministic given
+the config seed.
 
 ``sweep`` repeats that over one swept parameter with independent trial seeds,
 reporting mean bit error rate and calibration-failure rate per point.  It
@@ -37,6 +41,8 @@ DEFAULT_WINDOW_LENGTH = 4096
 #: quiet delimiter time prepended/appended, in symbol periods
 LEAD_IN_SYMBOLS = 2
 TAIL_SYMBOLS = 2
+#: the fewest points a gated STFT window keeps (see `_gate`)
+_GATED_WINDOW_MIN = 256
 
 SWEEPABLE_PARAMETERS = ("noise_sigma", "distance", "window_length",
                         "symbol_period", "max_command_rate")
@@ -149,6 +155,27 @@ def check_receiver(window_length: int, hop: int | None, tracker: str) -> int:
     return hop
 
 
+def _gate(config: ChannelConfig, window_length: int, hop: int, tracker: str) -> int:
+    """The gate D of a receiver on ``config``'s link (see `dsp.track_all`).
+
+    The STFT tracker's D is the largest power of two that divides the window
+    length and the hop, keeps at least `_GATED_WINDOW_MIN` points a window,
+    and keeps the gated rate's Nyquist frequency, ``sample_rate / (2*D)``,
+    at least 1.5 times the sensor's top tone (`channel.sensor_top_frequency`),
+    up to the longest gate `dsp` sums; 1 if no D above 1 does.  The
+    zero-crossing tracker counts edges of the square wave itself, so its D
+    is 1.
+    """
+    if tracker != "stft":
+        return 1
+    limit = min(hop & -hop, window_length // _GATED_WINDOW_MIN, dsp.GATE_MAX,
+                config.sample_rate / (3.0 * channel.sensor_top_frequency(config)))
+    gate = 1
+    while 2 * gate <= limit:
+        gate *= 2
+    return gate
+
+
 def link_duration(schedule: CommandSchedule, config: ChannelConfig,
                   alphabet: SymbolAlphabet) -> float:
     """Simulated seconds for a schedule: last command, its fade, the quiet tail."""
@@ -176,7 +203,8 @@ def receive_all(sensor, alphabet: SymbolAlphabet, receivers: list,
     ``sensor`` is a SensorTrace, or a `channel.link_blocks` stream at
     ``sample_rate``; it is read once, and every step goes to every receiver.
     ``receivers`` lists ``(tail, window_length, hop)`` triples whose window
-    and hop passed `check_receiver`; a trace is tail 0 (see
+    and hop passed `check_receiver`, each with the gate `_gate` gives it as
+    a fourth element where the stream is a link's; a trace is tail 0 (see
     `dsp.track_all`).  ``reference``, when given, is the sent payload the bit
     error rate is measured against.  Returns one outcome per receiver, in
     receiver order: its `DecodeReport`, or the `LightLeakError` it failed
@@ -225,8 +253,14 @@ def receive(sensor, alphabet: SymbolAlphabet,
     failing stage's error, tagged with ``.stage``.
     """
     hop = check_receiver(window_length, hop, tracker)
-    outcome, = receive_all(sensor, alphabet, [(0, window_length, hop)], tracker,
-                           reference, sample_rate)
+    return _receive_one(sensor, alphabet, (0, window_length, hop), tracker, reference,
+                        sample_rate)
+
+
+def _receive_one(sensor, alphabet: SymbolAlphabet, receiver: tuple, tracker: str,
+                 reference: bytes | None, sample_rate: float | None) -> DecodeReport:
+    """`receive_all` with the one ``receiver``; raises its error."""
+    outcome, = receive_all(sensor, alphabet, [receiver], tracker, reference, sample_rate)
     if isinstance(outcome, LightLeakError):
         raise outcome
     return outcome
@@ -255,8 +289,8 @@ def run_end_to_end(config: ChannelConfig, alphabet: SymbolAlphabet, payload: byt
     check_symbol_timing(config, alphabet, window_length, stacklevel=3)
     started = time.perf_counter()
     steps, duration = _link([config], alphabet, payload)
-    report = receive(steps, alphabet, window_length, hop, tracker,
-                     reference=payload, sample_rate=config.sample_rate)
+    receiver = (0, window_length, hop, _gate(config, window_length, hop, tracker))
+    report = _receive_one(steps, alphabet, receiver, tracker, payload, config.sample_rate)
     return RunResult(
         payload=payload,
         report=report,
@@ -300,7 +334,7 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     check_receiver(window, None, spec.tracker)
     values = sorted(spec.values)
     outcomes = [[] for _ in values]
-    # (source key, alphabet) -> ({config: tail}, [value index], [(tail, window, hop)])
+    # (source key, alphabet) -> ({config: tail}, [value index], [(tail, window, hop, gate)])
     links: dict = {}
     for i, value in enumerate(values):
         config, alphabet, window = _apply_parameter(spec, value)
@@ -313,7 +347,8 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
         tails, indices, receivers = links.setdefault(
             (channel.source_key(config), alphabet), ({}, [], []))
         indices.append(i)
-        receivers.append((tails.setdefault(config, len(tails)), window, hop))
+        receivers.append((tails.setdefault(config, len(tails)), window, hop,
+                          _gate(config, window, hop, spec.tracker)))
     for (_, alphabet), (tails, indices, receivers) in links.items():
         for trial in range(spec.trials):
             configs = [config.replace(rng_seed=spec.seed + trial) for config in tails]

@@ -345,6 +345,76 @@ def test_row_pieces_match_the_whole_batch(rows, window, kind, seed, data):
         assert all(np.array_equal(a, b) for a, b in zip(split, whole, strict=True))
 
 
+def _split(x, sizes):
+    """``x`` as consecutive blocks of the given sizes, cycled, to its end."""
+    edges = np.cumsum(sizes * (x.size // sum(sizes) + 1))
+    return np.split(x, edges[edges < x.size])
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate=st.sampled_from([2 ** k for k in range(1, 8)]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_gate_sums_do_not_depend_on_the_block_split(gate, seed, data):
+    # a receiver of two sums a frame, one sum apart, hands on every gate sum;
+    # blocks as short as one sample, and a stream that ends inside a gate
+    n = data.draw(st.integers(2 * gate, 40 * gate), label="n")
+    sizes = data.draw(st.lists(st.integers(1, 3 * gate), min_size=1, max_size=8), label="sizes")
+    x = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    framer = dsp._Framer(2 * gate, gate, gate)
+    batches = [batch for block in _split(x, sizes) for batch in framer.push(block)]
+    batches += [last] if (last := framer.close()) is not None else []
+    frames = np.concatenate(batches)
+    sums = np.concatenate([frames[:, 0], frames[-1:, 1]])
+    assert sums.dtype == np.uint8
+    assert np.array_equal(sums, x[:n - n % gate].reshape(-1, gate).sum(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(window=st.sampled_from([2 ** k for k in range(2, 11)]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_a_gated_receiver_keeps_the_frames_of_the_full_rate_one(window, seed, data):
+    gate = data.draw(st.sampled_from([2 ** k for k in range(1, 8) if 2 ** k < window]),
+                     label="gate")
+    hop = gate * data.draw(st.integers(1, 3 * window // gate), label="hop / gate")
+    n = data.draw(st.integers(window // 2, 6 * window), label="n")
+    block = data.draw(st.integers(1, 3 * window), label="block")
+    x = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    with mock.patch.object(dsp, "_STFT_BLOCK", 3), \
+            mock.patch.object(traces, "BLOCK_SAMPLES", block):
+        full, gated = dsp.track_all(x, [(0, window, hop), (0, window, hop, gate)], "stft", FS)
+    if n < window:
+        assert isinstance(full, DomainError) and str(gated) == str(full)
+        return
+    assert len(gated) == len(full) == (n - window) // hop + 1
+    assert np.array_equal(gated.frame_times, full.frame_times)
+    # the bin width is the full-rate one: a peak lies on its grid of bins
+    bins = gated.frequencies / (FS / window)
+    assert np.all((bins >= 0) & (bins <= window // gate // 2))
+
+
+class TestGate:
+    """A receiver's gate: its checks, and the tone its sums keep."""
+
+    @pytest.mark.parametrize("window, hop, gate", [
+        (1024, 512, 3), (1024, 512, 256), (1024, 6, 4), (1024, 512, 0), (2, 1, 2), (4, 2, 4)])
+    def test_a_gate_that_does_not_fit_is_refused(self, window, hop, gate):
+        with pytest.raises(DomainError):
+            dsp._Framer(window, hop, gate)
+
+    def test_only_bytes_are_summed(self):
+        with pytest.raises(DomainError, match="0/1 bytes"):
+            dsp.track_all(np.zeros(4096), [(0, 256, 128, 4)], "stft", FS)
+
+    @pytest.mark.parametrize("gate", [2, 4, 16])
+    def test_the_tone_survives_the_gate(self, gate):
+        # a 300 kHz square wave, 4096-sample windows: the gated peak sits
+        # within a tenth of a bin of the full-rate one
+        x = synth_square(300e3, FS, 200_000).astype(np.uint8)
+        full, gated = dsp.track_all(x, [(0, 4096, 2048), (0, 4096, 2048, gate)], "stft", FS)
+        assert np.abs(gated.frequencies - full.frequencies).max() < 0.1 * FS / 4096
+        assert np.abs(full.frequencies - 300e3).max() < FS / 4096
+
+
 def _serial_track(x, window, hop, tracker):
     """Frequencies and confidences of the ``TRACKERS[tracker]`` batch function
     over every batch of ``x``'s frames in turn, with no worker."""

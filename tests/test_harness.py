@@ -386,7 +386,8 @@ class TestReceiveAll:
 
     def test_no_window_for_a_stream_shorter_than_it(self, fast_link, monkeypatch):
         # a receiver builds its window at its first batch of frames, so a window
-        # too big for memory, on a shorter stream, is that receiver's track error
+        # too big for memory, on a shorter stream, is that receiver's track error;
+        # a gated receiver builds its window of gate sums
         built, hann = [], dsp.hann_window
 
         def bounded(n):
@@ -396,15 +397,17 @@ class TestReceiveAll:
 
         monkeypatch.setattr(dsp, "hann_window", bounded)
         config, alphabet = fast_link
+        gate = harness._gate(config, 4096, 2048, "stft")
+        assert gate == 4  # an 800 kHz top tone: 10 MS/s over 8 is below 1.5 times it
         schedule, duration = harness.transmit(config, alphabet, b"\x41")
         steps = channel.link_blocks(schedule, [config], duration)
         ok, *short = harness.receive_all(
-            steps, alphabet, [(0, 4096, 2048), (0, 2 ** 22, 2 ** 21), (0, 2 ** 30, 2 ** 29),
-                              (0, 2 ** 70, 2 ** 69)],
+            steps, alphabet, [(0, 4096, 2048, gate), (0, 2 ** 22, 2 ** 21, gate),
+                              (0, 2 ** 30, 2 ** 29), (0, 2 ** 70, 2 ** 69, gate)],
             reference=b"\x41", sample_rate=config.sample_rate)
         assert ok.ber == 0.0
         assert all(isinstance(exc, DomainError) and exc.stage == "track" for exc in short)
-        assert built == [4096]
+        assert built == [4096 // gate]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the windows crowd the slots
             with pytest.raises(DomainError) as exc_info:
@@ -416,7 +419,8 @@ class TestReceiveAll:
             good, *too_long = harness.sweep(spec)
         assert (good.decode_errors, good.mean_ber) == (0, 0.0)
         assert [(p.decode_errors, p.mean_ber) for p in too_long] == [(2, 1.0)] * 2
-        assert set(built) == {4096}
+        # the sweep's 4096 receiver, gated as above, built one window per trial
+        assert built == [4096 // gate] * 3
 
     def test_a_batch_error_is_its_receivers_own(self, fast_link, monkeypatch):
         track, floor = dsp.TRACKERS["stft"]
@@ -480,6 +484,86 @@ class TestReceiveAll:
         assert calls[failed - 1] == (2048, 64, True)
         assert all(window != 2048 for window, _, _ in calls[failed + 1:])
         assert not any(future.raised for kind, future in scripted.events if kind == "result")
+
+
+# the criterion-5, -6 and -7 links' configs
+CRITERION_5 = ll.ChannelConfig(noise_sigma=0.0, fade_duration=0.002,
+                               sensor_time_constant=0.001, max_command_rate=200.0)
+CRITERION_6 = ll.ChannelConfig(distance=0.3, fade_duration=0.001, max_command_rate=1000.0)
+CRITERION_7 = ll.ChannelConfig(distance=0.4, fade_duration=0.00025,
+                               max_command_rate=4000.0, noise_sigma=0.005)
+
+
+class TestGate:
+    """The gate D that `run_end_to_end` and `sweep` give each STFT receiver."""
+
+    @pytest.mark.parametrize("config, window, want", [
+        (CRITERION_5, 4096, 4),
+        (CRITERION_6.replace(noise_sigma=0.0), 4096, 16),
+        (CRITERION_6.replace(noise_sigma=0.002), 4096, 16),
+        (CRITERION_6.replace(noise_sigma=0.01), 4096, 16),
+        (CRITERION_6.replace(noise_sigma=0.05), 4096, 8),
+        (CRITERION_7, 1024, 4), (CRITERION_7, 2048, 8), (CRITERION_7, 4096, 16),
+        (CRITERION_7, 8192, 32),
+    ])
+    def test_the_criterion_links(self, config, window, want):
+        assert channel.sensor_top_frequency(config) == pytest.approx(
+            config.sensor_full_scale_frequency * (config.geometric_gain + 0.01
+                                                  + 4 * config.noise_sigma))
+        assert harness._gate(config, window, window // 2, "stft") == want
+        assert harness._gate(config, window, window // 2, "zero_crossing") == 1
+
+    def test_each_bound(self):
+        # a 400 kHz top tone at 9.6 MS/s: the gated Nyquist frequency may be
+        # exactly 1.5 times it, at D = 8, and not less
+        config = ll.ChannelConfig(sample_rate=9.6e6, sensor_full_scale_frequency=400e3,
+                                  ambient_intensity=0.0, noise_sigma=0.0)
+        assert channel.sensor_top_frequency(config) == 400e3
+        assert harness._gate(config, 4096, 2048, "stft") == 8
+        brighter = config.replace(sensor_dark_frequency=1.0)
+        assert harness._gate(brighter, 4096, 2048, "stft") == 4
+        # the gate divides the hop and keeps 256 points a window
+        assert harness._gate(config, 4096, 2047, "stft") == 1
+        assert harness._gate(config, 4096, 6, "stft") == 2
+        assert harness._gate(config, 512, 256, "stft") == 2
+        assert harness._gate(config, 256, 128, "stft") == 1
+        # a faint tone: at most the longest gate whose sums fit in a byte
+        faint = config.replace(distance=100.0)
+        assert harness._gate(faint, 2 ** 20, 2 ** 19, "stft") == dsp.GATE_MAX == 128
+
+    def test_the_top_tone_bounds_the_track(self):
+        config = CRITERION_6.replace(noise_sigma=0.05)
+        alphabet = ll.SymbolAlphabet(symbol_period=0.003)
+        schedule, duration = harness.transmit(config, alphabet, b"\xa5")
+        sensor = ll.simulate_link(schedule, config, duration)
+        track = dsp.stft_track(sensor, 4096, 2048)
+        assert track.frequencies.max() < channel.sensor_top_frequency(config)
+
+    def test_only_the_link_stft_receivers_are_gated(self, fast_link, monkeypatch, tmp_path):
+        # the zero-crossing tracker, `stft`, and `receive` of a trace file frame the
+        # samples themselves, as before the gate; the link's STFT receivers sum gates
+        gates, framer = [], dsp._Framer
+
+        def recorded(window_length, hop, gate=1):
+            gates.append(gate)
+            return framer(window_length, hop, gate)
+
+        monkeypatch.setattr(dsp, "_Framer", recorded)
+        config, alphabet = fast_link
+        assert ll.run_end_to_end(config, alphabet, b"\x41",
+                                 tracker="zero_crossing").report.ber == 0.0
+        spec = harness.SweepSpec(parameter="noise_sigma", values=(0.0, 0.002), trials=1,
+                                 config=config, alphabet=alphabet, tracker="zero_crossing")
+        assert [p.mean_ber for p in harness.sweep(spec)] == [0.0, 0.0]
+        schedule, duration = harness.transmit(config, alphabet, b"\x41")
+        trace_path = tmp_path / "sensor.bin"
+        fileio.export_trace(ll.simulate_link(schedule, config, duration), trace_path)
+        trace = fileio.import_trace(trace_path)
+        assert harness.receive(trace, alphabet, reference=b"\x41").ber == 0.0
+        ll.stft(trace, 4096, 2048)
+        assert gates == [1] * 5
+        assert ll.run_end_to_end(config, alphabet, b"\x41").report.ber == 0.0
+        assert gates[5:] == [4]
 
 
 def _record_threads(monkeypatch, idents: list) -> None:
