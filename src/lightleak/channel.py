@@ -15,6 +15,14 @@ the optical path and the sensor, so configs that differ only in tail fields
 share the source.  Each step yields one block per tail; a single link is the
 one-tail case, and `simulate_link` joins its blocks into one trace.
 
+A noisy link's source draws its standard normals on a helper thread of its
+own, `_NOISE_AHEAD` blocks ahead of the block the tails work on, into a ring
+of ``_NOISE_AHEAD + 1`` block buffers; the draw releases the GIL, so it runs
+beside the calling thread's render.  The draws keep the one generator, the
+block sizes and their order, so the normals are those of a serial draw.  The
+helper is joined when the stream ends, raises or is closed.  A link without
+noise starts no thread.
+
 The tails of a link take turns with one light buffer and one for the scaled
 noise draw, both allocated with the first block.  A tail writes its light
 there (the 0/1 waveform takes two values, computed once), and the sensor
@@ -26,8 +34,11 @@ blocks it is handed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from collections import deque
 from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +62,15 @@ TAIL_FIELDS = ("distance", "angle", "ambient_intensity", "noise_sigma",
 #: quarter of criterion-5 transmissions).  Eight blocks of the one-byte
 #: waveform are 256 KiB.
 PWM_BLOCKS = 8
+
+#: blocks of standard normals the helper thread draws ahead of the block the
+#: tails work on.  The draw (about 12 ns a sample) costs twice the sensor's
+#: `lfilter`, and the gated receive worker leaves the second core idle for
+#: most of a link.  On the criterion-6 noise sweep (2 vCPUs), depths 1, 2
+#: and 4 ran within the host's noise of one another.
+_NOISE_AHEAD = 2
+#: the name prefix of the noise helper's thread
+_NOISE_THREAD = "lightleak-noise"
 
 
 def source_key(config: ChannelConfig) -> tuple:
@@ -152,10 +172,15 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
     inside the period finds from its index), one generator draws all the
     noise, and each tail's sensor state carries over (its phase segments
     follow the absolute sample index too).
-    Each tail's blocks joined are bit for bit its single-pass render, and no
+    Each tail's blocks joined are bit for bit its single-pass render.  No
     stage holds more than a block, but for the PWM waveform, which is
-    rendered `PWM_BLOCKS` blocks at a time.  The schedule, duration and PWM
-    resolution are checked here, before the first block is rendered.
+    rendered `PWM_BLOCKS` blocks at a time, and, with noise, the normals,
+    drawn on a helper thread up to `_NOISE_AHEAD` blocks ahead (so
+    ``_NOISE_AHEAD + 1`` blocks of them are alive).  The helper starts with
+    the first noisy block and is joined when the stream ends, raises or is
+    closed; a draw's error is raised from the stream unchanged.  The
+    schedule, duration and PWM resolution are checked here, before the
+    first block is rendered.
     """
     configs = tuple(configs)
     if len({source_key(config) for config in configs}) != 1:
@@ -171,32 +196,69 @@ def link_blocks(schedule: CommandSchedule, configs: Sequence[ChannelConfig],
 
 def _source(plan: bulb.LevelPlan, step: float,
             rng: np.random.Generator | None) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The transmit half: each block's PWM waveform and standard normals (None without noise)."""
+    """The transmit half: each block's PWM waveform and standard normals (None without noise).
+
+    A block's normals are valid until the next block is asked for (see `_normals`).
+    """
     span = PWM_BLOCKS * traces.BLOCK_SAMPLES
-    for start in range(0, plan.n, span):
-        pwm = _kernels.pwm_wave(plan.at, step, start, min(start + span, plan.n))
-        # a span starts on a block edge, so its blocks are the stream's
-        for block in traces.blocks(pwm):
-            yield block, None if rng is None else rng.standard_normal(block.size)
+    normals = None if rng is None else _normals(rng, plan.n)
+    try:
+        for start in range(0, plan.n, span):
+            pwm = _kernels.pwm_wave(plan.at, step, start, min(start + span, plan.n))
+            # a span starts on a block edge, so its blocks are the stream's
+            for block in traces.blocks(pwm):
+                yield block, None if normals is None else next(normals)
+    finally:
+        if normals is not None:
+            normals.close()
+
+
+def _normals(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
+    """Standard normals from ``rng`` for each block of an ``n``-sample stream.
+
+    One helper thread draws them in block order, `_NOISE_AHEAD` blocks ahead
+    of the block handed on, into a ring of ``_NOISE_AHEAD + 1`` buffers: the
+    draw of block ``k + _NOISE_AHEAD`` goes where block ``k - 1`` was, once
+    block ``k`` is asked for.  The helper is joined on every exit.
+    """
+    ring = [np.empty(min(traces.BLOCK_SAMPLES, n)) for _ in range(_NOISE_AHEAD + 1)]
+    outs = (ring[k % len(ring)][:min(traces.BLOCK_SAMPLES, n - start)]
+            for k, start in enumerate(range(0, n, traces.BLOCK_SAMPLES)))
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix=_NOISE_THREAD)
+    try:
+        drawn = deque(helper.submit(rng.standard_normal, out=out)
+                      for out in itertools.islice(outs, _NOISE_AHEAD))
+        while drawn:
+            if (out := next(outs, None)) is not None:
+                drawn.append(helper.submit(rng.standard_normal, out=out))
+            yield drawn.popleft().result()
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 def _tails(source, configs: tuple[ChannelConfig, ...]) -> Iterator[tuple[np.ndarray, ...]]:
-    """Each config's optical path and sensor over the source blocks, in lockstep."""
+    """Each config's optical path and sensor over the source blocks, in lockstep.
+
+    The source is closed on every exit, so its helper thread ends with the stream.
+    """
     # the sensor state per tail; None starts its filter in steady state at
     # the first sample
     states = [None] * len(configs)
     light = scaled = None
     start = 0
-    for pwm, z in source:
-        if light is None:  # the first block is the longest
-            light, scaled = np.empty(pwm.size), np.empty(pwm.size)
-        waves = []
-        for k, config in enumerate(configs):
-            x = _light(pwm, config, z, light[:pwm.size], scaled[:pwm.size])
-            wave, states[k] = _kernels.sensor_wave(x, start, *_sensor(config), states[k])
-            waves.append(wave)
-        start += pwm.size
-        yield tuple(waves)
+    try:
+        for pwm, z in source:
+            if light is None:  # the first block is the longest
+                light, scaled = np.empty(pwm.size), np.empty(pwm.size)
+            waves = []
+            for k, config in enumerate(configs):
+                x = _light(pwm, config, z, light[:pwm.size], scaled[:pwm.size])
+                wave, states[k] = _kernels.sensor_wave(x, start, *_sensor(config), states[k])
+                waves.append(wave)
+            start += pwm.size
+            yield tuple(waves)
+    finally:
+        source.close()
 
 
 def simulate_link(schedule: CommandSchedule, config: ChannelConfig,

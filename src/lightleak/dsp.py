@@ -29,8 +29,10 @@ top tone allows; `stft`, the zero-crossing tracker and a trace read without
 its config keep D = 1.
 
 The receive loop opens one worker thread for the call, joined on its every
-exit.  While the stream lasts, every batch's whole job (for a tracker, the
-batch's magnitude spectra and the tracker's batch function; for `stft`, the
+exit, and closes a stream that has a ``close`` (a generator) on its every
+exit too, so a noisy link's noise helper does not outlive the call.  While
+the stream lasts, every batch's whole job (for a tracker, the batch's
+magnitude spectra and the tracker's batch function; for `stft`, the
 spectra) runs there, one job at a time in submission order, while the
 calling thread draws (for a link: renders) the next blocks, cuts frames,
 submits jobs and hands results on; the FFT and numpy's large loops release
@@ -319,7 +321,9 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
     on two threads at once.  Returns, per receiver, None or the first error
     its framer or one of its batches raised; no later batch of that
     receiver runs.  An error of the stream itself, or of ``take``, is raised
-    once the worker is joined.
+    once the worker is joined.  The stream, if it has a ``close``, is closed
+    on every exit, so a generator's own threads (a noisy link's noise
+    helper) end within the call.
     """
     framers = [(tail, _Framer(window_length, hop, gate))
                for tail, window_length, hop, gate in receivers]
@@ -375,10 +379,14 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
         queue.append((r, executor.submit(run, r, box, window, len(frames)), box, window))
 
     with executor:
-        for step in steps:
-            for r, (tail, framer) in enumerate(framers):
-                for frames in framer.push(step[tail]) if errors[r] is None else ():
-                    feed(r, frames, framer.window)
+        try:
+            for step in steps:
+                for r, (tail, framer) in enumerate(framers):
+                    for frames in framer.push(step[tail]) if errors[r] is None else ():
+                        feed(r, frames, framer.window)
+        finally:
+            if hasattr(steps, "close"):
+                steps.close()
         ended = True
         for r, (_, framer) in enumerate(framers):
             try:

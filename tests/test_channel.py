@@ -1,5 +1,7 @@
 """Optical path and light-to-frequency sensor model."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from lightleak import (
     sensor_response,
     simulate_link,
 )
-from lightleak import bulb, channel, traces
+from lightleak import _kernels, bulb, channel, traces
 from lightleak.errors import ConfigError, DomainError
 
 
@@ -278,3 +280,102 @@ class TestLinkTails:
         with pytest.raises(ConfigError, match="differ only in"):
             channel.link_blocks(self.SCHEDULE, [self.CONFIG, self.CONFIG.replace(rng_seed=4)],
                                 TestBlockEdges.DURATION)
+
+
+def _noise_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith(channel._NOISE_THREAD)]
+
+
+class TestNoiseHelper:
+    """A noisy link's normals are drawn on a helper thread, ahead of the tails."""
+
+    CONFIG = TestBlockEdges.CONFIG
+    SCHEDULE = TestBlockEdges.SCHEDULE
+    DURATION = TestBlockEdges.DURATION
+    # 11 blocks of 83 000 samples, the last shorter, so every ring below wraps
+    BLOCK = 7919
+
+    @pytest.mark.parametrize("ahead", [1, 5])
+    def test_blocks_are_the_whole_trace_at_any_depth(self, monkeypatch, ahead):
+        monkeypatch.setattr(channel, "_NOISE_AHEAD", ahead)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", self.BLOCK)
+        configs = [self.CONFIG, self.CONFIG.replace(noise_sigma=0.05, distance=0.5)]
+        steps = list(channel.link_blocks(self.SCHEDULE, configs, self.DURATION))
+        assert len(steps) > ahead + 1 and 0 < steps[-1][0].size < self.BLOCK
+        pwm = bulb.render_pwm(bulb.render_level_trace(self.SCHEDULE, self.CONFIG,
+                                                      self.DURATION), self.CONFIG)
+        for k, config in enumerate(configs):
+            whole = sensor_response(propagate(pwm, config), config).values
+            assert np.array_equal(np.concatenate([step[k] for step in steps]), whole)
+
+    def test_close_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", self.BLOCK)
+        threads = threading.active_count()
+        stream = channel.link_blocks(self.SCHEDULE, [self.CONFIG], self.DURATION)
+        for _ in range(3):
+            next(stream)
+        assert len(_noise_threads()) == 1
+        stream.close()
+        assert not _noise_threads()
+        assert threading.active_count() == threads
+
+    def test_a_draw_error_leaves_the_stream_unchanged(self, monkeypatch):
+        boom, default_rng = RuntimeError("the draw broke"), np.random.default_rng
+
+        class Failing:  # the fourth block's draw raises
+            def __init__(self, seed):
+                self.rng, self.draws = default_rng(seed), 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 4:
+                    raise boom
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", self.BLOCK)
+        threads = threading.active_count()
+        steps = []
+        with pytest.raises(RuntimeError) as raised:
+            for step in channel.link_blocks(self.SCHEDULE, [self.CONFIG], self.DURATION):
+                steps.append(step)
+        assert raised.value is boom
+        assert len(steps) == 3
+        assert not _noise_threads()
+        assert threading.active_count() == threads
+
+    def test_a_tail_error_joins_the_helper(self, monkeypatch):
+        sensor_wave, calls = _kernels.sensor_wave, []
+
+        def failing(*args):  # the third block's sensor raises
+            calls.append(args)
+            if len(calls) == 3:
+                raise ArithmeticError("the sensor broke")
+            return sensor_wave(*args)
+
+        monkeypatch.setattr(_kernels, "sensor_wave", failing)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", self.BLOCK)
+        threads = threading.active_count()
+        try:
+            for _ in channel.link_blocks(self.SCHEDULE, [self.CONFIG], self.DURATION):
+                pass
+        except ArithmeticError:  # its traceback holds every frame of the stream
+            assert not _noise_threads()
+            assert threading.active_count() == threads
+        else:
+            pytest.fail("the sensor's error was lost")
+
+    def test_a_noiseless_link_starts_no_thread(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a noiseless link started a helper")
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(traces, "BLOCK_SAMPLES", self.BLOCK)
+        threads = threading.active_count()
+        configs = [self.CONFIG.replace(noise_sigma=0.0),
+                   self.CONFIG.replace(noise_sigma=0.0, distance=0.5)]
+        steps = 0
+        for _ in channel.link_blocks(self.SCHEDULE, configs, self.DURATION):
+            steps += 1
+            assert threading.active_count() == threads
+        assert steps == 11

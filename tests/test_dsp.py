@@ -662,6 +662,27 @@ class TestBlockEdges:
         assert threading.active_count() == threads
         assert workers - {threading.get_ident()}  # a batch's spectra ran on the worker
 
+    def test_a_take_error_closes_the_stream(self):
+        closed = []
+
+        def stream():
+            try:
+                for k in range(20):
+                    yield ((np.arange(k * 5000, (k + 1) * 5000) // 7 % 2).astype(np.uint8),)
+            finally:
+                closed.append(k)
+
+        def take(r, result):
+            raise ConfigError("take broke")
+
+        threads = threading.active_count()
+        steps = stream()  # held here, so only a close can finish it
+        with pytest.raises(ConfigError, match="take broke"):
+            dsp._receive(steps, [(0, 64, 32, 1)],
+                         lambda r, frames, window: dsp._spectra(frames, window), take)
+        assert len(closed) == 1 and closed[0] < 19
+        assert threading.active_count() == threads
+
     def test_long_hop_holds_no_more_than_a_short_one(self):
         def peak(hop):
             # 8 M samples, fresh blocks as a link makes them
