@@ -30,23 +30,20 @@ its config keep D = 1.
 
 The receive loop opens one worker thread for the call, joined on its every
 exit, and closes a stream that has a ``close`` (a generator) on its every
-exit too, so a noisy link's noise helper does not outlive the call.  While
-the stream lasts, every batch's whole job (for a tracker, the batch's
-magnitude spectra and the tracker's batch function; for `stft`, the
-spectra) runs there, one job at a time in submission order, while the
-calling thread draws (for a link: renders) the next blocks, cuts frames,
-submits jobs and hands results on; the FFT and numpy's large loops release
-the GIL.  Once the stream has ended, the calling thread, rather than only
-wait for the oldest job, also runs queued jobs from the newest end, each in
-pieces of at most ``_DRAIN_PIECE`` elements, while the worker takes them
-from the oldest end.  Only private functions run on the worker: every
-public function runs on the calling thread.  No more batches than there are
-receivers wait in the queue, and results are handed on from it in
-submission order, so a receiver's batches are taken in order.  A tracker's
-spectra are made and consumed within one job or piece, so at most one batch
-of spectra is alive on the worker and one piece on the calling thread, and
-each frame's results depend on that frame alone, so the output is bit for
-bit that of a serial run.
+exit too, so a noisy link's noise helper does not outlive the call.  Every
+batch's whole job (for a tracker, the batch's magnitude spectra and the
+tracker's batch function; for `stft`, the spectra) runs on the worker, one
+job at a time in submission order, while the calling thread draws (for a
+link: renders) the next blocks, cuts frames, submits jobs and hands results
+on; the FFT and numpy's large loops release the GIL.  Once the stream has
+ended, the calling thread only waits for the jobs still queued.  Only
+private functions run on the worker: every public function runs on the
+calling thread.  No more batches than there are receivers wait in the
+queue, and results are handed on from it in submission order, so a
+receiver's batches are taken in order.  A tracker's spectra are made and
+consumed within one job, so at most one batch of spectra is alive at a
+time, and each frame's results depend on that frame alone, so the output is
+bit for bit that of a serial run.
 
 The spectra are computed in ``np.result_type(samples.dtype, np.float32)``,
 numpy's own promotion rule: float32 for the uint8 sensor traces of the link,
@@ -66,7 +63,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +76,6 @@ from .traces import SensorTrace
 #: frames per STFT batch (fewer when the hop is longer than the window, see
 #: `_Framer`); batches always start at a multiple of the batch size
 _STFT_BLOCK = 256
-#: elements (frames times window length) per piece of a job that the calling
-#: thread runs once the stream has ended; a piece holds at least one frame
-_DRAIN_PIECE = 1 << 17
 #: the longest gate (see `_Framer`): its sum of 0/1 samples fits in a byte
 GATE_MAX = 128
 
@@ -177,10 +171,11 @@ class _Framer:
     gate may span two blocks; see `_gate_sums`) and frames the sums: a frame
     is then ``window_length // D`` sums, ``hop // D`` apart, and the
     receiver's rate is the sample rate over D.  D must be a power of two up
-    to ``GATE_MAX`` that divides the window length and the hop, and the
-    stream's samples must be 0/1 bytes.  Frame ``f`` is ``x[f*hop :
-    f*hop + window_length]`` of the (summed) stream ``x``, with the window
-    length and hop in its points; a stream of N samples gives
+    to ``GATE_MAX`` that divides the window length and the hop, an integer
+    and not a bool (as `check_framing` wants them), and the stream's samples
+    must be 0/1 bytes.  Frame ``f`` is ``x[f*hop : f*hop + window_length]``
+    of the (summed) stream ``x``, with the window length and hop in its
+    points; a stream of N samples gives
     ``floor((N - window_length)/hop) + 1`` frames, gated or not.  Batch
     ``k`` holds frames ``k*b`` up to ``(k+1)*b`` (fewer in the last one),
     whatever the block sizes.  ``b`` is ``_STFT_BLOCK``, cut to
@@ -198,8 +193,9 @@ class _Framer:
 
     def __init__(self, window_length: int, hop: int, gate: int = 1):
         check_framing(window_length, hop)
-        if not (isinstance(gate, numbers.Integral) and 1 <= gate <= GATE_MAX
-                and not gate & (gate - 1) and window_length % gate == hop % gate == 0):
+        if not (isinstance(gate, numbers.Integral) and not isinstance(gate, bool)
+                and 1 <= gate <= GATE_MAX and not gate & (gate - 1)
+                and window_length % gate == hop % gate == 0):
             raise DomainError(f"gate must be a power of two up to {GATE_MAX} that divides "
                               f"the window length and the hop, got {gate!r}")
         window_length, hop = window_length // gate, hop // gate
@@ -309,74 +305,49 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
     drawn, so the stream is produced once.  Each batch's whole job,
     ``job(receiver, frames, window)``, is submitted to the call's one worker
     thread (joined on every exit), which runs the jobs one at a time in
-    submission order while the calling thread draws the next steps.  Results go, from
-    that one queue and in submission order, to ``take(receiver, result)`` on
-    the calling thread: each as soon as it is done, and the oldest, waited
-    for, before a batch would make more batches queued than there are
-    receivers.  Once the stream has ended, before each wait the calling
-    thread runs, newest first, a queued job that it can cancel (so it has
-    not started) and that is its receiver's only unfinished one, as
-    consecutive pieces of at most ``_DRAIN_PIECE`` elements (at least one
-    frame) whose results are taken in turn; so a receiver's jobs never run
-    on two threads at once.  Returns, per receiver, None or the first error
-    its framer or one of its batches raised; no later batch of that
-    receiver runs.  An error of the stream itself, or of ``take``, is raised
-    once the worker is joined.  The stream, if it has a ``close``, is closed
-    on every exit, so a generator's own threads (a noisy link's noise
-    helper) end within the call.
+    submission order while the calling thread draws the next steps; no job
+    runs on the calling thread.  Results go, from that one queue and in
+    submission order, to ``take(receiver, result)`` on the calling thread:
+    each as soon as it is done, and the oldest, waited for, before a batch
+    would make more batches queued than there are receivers; once the
+    stream has ended, the calling thread only waits for them.  Returns, per
+    receiver, None or the first error its framer or one of its batches
+    raised; no later batch of that receiver runs.  An error of the stream
+    itself, or of ``take``, is raised once the worker is joined.  The
+    stream, if it has a ``close``, is closed on every exit, so a
+    generator's own threads (a noisy link's noise helper) end within the
+    call.
     """
     framers = [(tail, _Framer(window_length, hop, gate))
                for tail, window_length, hop, gate in receivers]
     errors = [None] * len(framers)
-    # (receiver, future, box, window) of the batches not yet handed on, in submission
-    # order; the box holds the batch's frames until its job starts
-    queue = deque()
-    failed = set()  # receivers whose batch failed; no later job of theirs starts
-    ended = False  # the stream has ended: the calling thread runs jobs too
+    queue = deque()  # (receiver, future) of the batches not yet handed on, in submission order
+    failed = set()  # receivers whose batch failed on the worker; only the worker touches it
     executor = ThreadPoolExecutor(max_workers=1)
 
-    def run(r, box, window, rows):  # a job's results, in consecutive pieces of `rows` frames
-        frames = box.pop()  # a started job takes its frames out of the queue
+    def run(r, frames, window):  # on the worker, in submission order
         if r in failed:  # an earlier batch of r failed: this one goes nowhere
-            return []
+            return None
         try:
-            return [job(r, frames[q:q + rows], window) for q in range(0, len(frames), rows)]
+            return job(r, frames, window)
         except Exception:
             failed.add(r)
             raise
 
-    def run_here():  # run the newest job that may run on this thread; False if none
-        for i in reversed(range(len(queue))):
-            r, future, box, window = queue[i]
-            if (all(f.done() for s, f, *_ in queue if s == r and f is not future)
-                    and future.cancel()):
-                ran = Future()  # this thread runs the job as an executor would
-                try:
-                    ran.set_result(run(r, box, window, max(1, _DRAIN_PIECE // window.size)))
-                except Exception as exc:
-                    ran.set_exception(exc)
-                queue[i] = (r, ran, box, window)
-                return True
-        return False
-
     def hand_on():
-        while ended and not queue[0][1].done() and run_here():
-            pass
-        r, future, _, _ = queue.popleft()
+        r, future = queue.popleft()
         if errors[r] is None:
             try:
-                results = future.result()
+                result = future.result()
             except Exception as exc:
                 errors[r] = exc
             else:
-                for result in results:
-                    take(r, result)
+                take(r, result)
 
     def feed(r, frames, window):
         while queue and (len(queue) >= len(framers) or queue[0][1].done()):
             hand_on()
-        box = [frames]
-        queue.append((r, executor.submit(run, r, box, window, len(frames)), box, window))
+        queue.append((r, executor.submit(run, r, frames, window)))
 
     with executor:
         try:
@@ -387,7 +358,6 @@ def _receive(steps: Iterable, receivers: list, job, take) -> list:
         finally:
             if hasattr(steps, "close"):
                 steps.close()
-        ended = True
         for r, (_, framer) in enumerate(framers):
             try:
                 if errors[r] is None and (frames := framer.close()) is not None:
@@ -507,8 +477,8 @@ def _track_zero_crossing(frames: np.ndarray, window: np.ndarray, sample_rate: fl
 #: tracker name -> (batch function, confidence floor below which a slot is
 #: erased); the function maps a batch's frames, the receiver's Hann window
 #: and the sample rate to the frames' frequencies and confidences
-#: (zero-crossing's lie in [0, 1]).  Each call is one job of `_receive`, run
-#: on its worker thread, one job at a time.
+#: (zero-crossing's lie in [0, 1]).  Each call is one batch's whole job of
+#: `_receive`, run on its worker thread, one job at a time.
 TRACKERS = {"stft": (_track_stft, 2.0), "zero_crossing": (_track_zero_crossing, 0.5)}
 
 

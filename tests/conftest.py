@@ -39,20 +39,16 @@ class ScriptedExecutor:
     its futures say whether they are done from ``script``, a sequence of
     booleans read in a cycle: with ``[True]`` every job is handed on, and so
     run, at the loop's next batch; with ``[False]`` only once as many
-    batches as there are receivers are queued, or the stream has ended.  A
-    future's ``cancel`` succeeds while its job has not run, and drops the
-    job, so once the stream has ended the loop may run it itself.
+    batches as there are receivers are queued, or the stream has ended.
     ``events`` logs each ``("submit", future)`` and ``("result", future)``
-    in order; ``running`` is the future whose job runs in place of the
-    worker now, or None; a future's ``raised`` is the exception its job
-    raised, or None.  A future lets go of its job when it runs and keeps no
-    result, so the log pins no batch.
+    in order; a future's ``raised`` is the exception its job raised, or
+    None.  A future lets go of its job when it runs and keeps no result, so
+    the log pins no batch.
     """
 
     def __init__(self, script):
         self._script = itertools.cycle(script)
         self.events = []
-        self.running = None
 
     def __call__(self, max_workers):
         return self
@@ -77,21 +73,14 @@ class _ScriptedFuture:
     def done(self):
         return next(self._executor._script)
 
-    def cancel(self):
-        cancelled, self._job = self._job is not None, None
-        return cancelled
-
     def result(self):
         self._executor.events.append(("result", self))
         (fn, args), self._job = self._job, None
-        self._executor.running = self
         try:
             return fn(*args)
         except Exception as exc:
             self.raised = exc
             raise
-        finally:
-            self._executor.running = None
 
 
 @pytest.fixture

@@ -327,8 +327,9 @@ def test_zero_crossing_matches_per_frame_reference(window, data):
        kind=st.sampled_from(["bits_uint8", "float64"]), seed=st.integers(0, 2 ** 32 - 1),
        data=st.data())
 def test_row_pieces_match_the_whole_batch(rows, window, kind, seed, data):
-    # what lets the receive loop run a job in pieces: every row of a batch is
-    # its own, so consecutive pieces, concatenated, are the whole batch bit for bit
+    # every row of a batch is its own, so consecutive pieces, concatenated, are
+    # the whole batch bit for bit: neither `_STFT_BLOCK` nor where the framer
+    # cuts a stream into batches changes any frame's output
     hop = data.draw(st.integers(1, window), label="hop")
     cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=8), label="cuts")
                   if rows > 1 else ())
@@ -396,7 +397,8 @@ class TestGate:
     """A receiver's gate: its checks, and the tone its sums keep."""
 
     @pytest.mark.parametrize("window, hop, gate", [
-        (1024, 512, 3), (1024, 512, 256), (1024, 6, 4), (1024, 512, 0), (2, 1, 2), (4, 2, 4)])
+        (1024, 512, 3), (1024, 512, 256), (1024, 6, 4), (1024, 512, 0), (2, 1, 2), (4, 2, 4),
+        (1024, 512, True)])
     def test_a_gate_that_does_not_fit_is_refused(self, window, hop, gate):
         with pytest.raises(DomainError):
             dsp._Framer(window, hop, gate)
@@ -496,15 +498,13 @@ class TestBlockEdges:
         assert np.array_equal(framer.window, hann_window(window))
 
     # several receivers, whose batches share the one worker: a real one, and
-    # scripted ones that seem busy or idle at chosen batches; once the stream
-    # has ended the calling thread runs jobs too, here in pieces of 24 elements
+    # scripted ones that seem busy or idle at chosen batches
     @pytest.mark.parametrize("tracker, script", [
         pytest.param(tracker, script, id="-".join([tracker, *map(str, script or ())]))
         for tracker in sorted(dsp.TRACKERS)
         for script in (None, (False,), (True,), (True, False), (False, False, True))])
     def test_batches_in_flight_match_a_serial_reference(self, monkeypatch, tracker, script):
         monkeypatch.setattr(dsp, "_STFT_BLOCK", 3)
-        monkeypatch.setattr(dsp, "_DRAIN_PIECE", 24)
         monkeypatch.setattr(traces, "BLOCK_SAMPLES", 13)
         # 2998 samples end the frames of (8, 8) and (64, 4) with a short batch, which
         # `close` gives, and those of the others with a full one
@@ -512,50 +512,20 @@ class TestBlockEdges:
         receivers = [(0, 4, 3), (0, 16, 5), (0, 8, 8), (0, 2, 23), (0, 64, 4)]
         want = [_serial_track(x, window, hop, tracker) for _, window, hop in receivers]
         executor = dsp.ThreadPoolExecutor if script is None else ScriptedExecutor(script)
-        fn, floor = dsp.TRACKERS[tracker]
-        receive, log = dsp._receive, []
-        jobs = []  # per submitted job: its receiver, where it ran, its pieces' frame counts
-        running = {}  # where -> the job running there now
-        caller = threading.get_ident()
+        receive, log, threads = dsp._receive, [], set()
 
-        def where():
-            if script is None:
-                return "here" if threading.get_ident() == caller else "worker"
-            return "worker" if executor.running is not None else "here"
-
-        def pool(max_workers):  # logs each job's submission, where it runs, and its end
+        def pool(max_workers):  # logs each job's submission, and the thread it runs on
             pool = executor(max_workers=max_workers)
             submit = pool.submit
 
             def logged(run, r, *args):
-                k = len(jobs)
-                jobs.append({"r": r, "ran": None, "pieces": [], "finished": False})
                 log.append(("submit", r))
 
                 def on_worker(*args):
-                    jobs[k]["ran"], running["worker"] = "worker", k
-                    try:
-                        return run(*args)
-                    finally:
-                        jobs[k]["finished"] = True
+                    threads.add(threading.get_ident())
+                    return run(*args)
 
-                future = submit(on_worker, r, *args)
-                cancel = future.cancel
-
-                def logged_cancel():
-                    if not cancel():
-                        return False
-                    # the job had not started, and every other job of its receiver
-                    # had finished (this thread finishes a job before it cancels another)
-                    assert jobs[k]["ran"] is None
-                    assert all(job["finished"] or job["ran"] == "here"
-                               for i, job in enumerate(jobs) if job["r"] == r and i != k)
-                    jobs[k]["ran"], running["here"] = "here", k
-                    log.append(("here", k))
-                    return True
-
-                future.cancel = logged_cancel
-                return future
+                return submit(on_worker, r, *args)
 
             pool.submit = logged
             return pool
@@ -567,55 +537,24 @@ class TestBlockEdges:
 
             return receive(steps, receivers, job, logged)
 
-        def logged_fn(batch, window, sample_rate):  # logs each piece where it runs
-            k = running[where()]
-            jobs[k]["pieces"].append(batch.shape[0])
-            assert window.size == receivers[jobs[k]["r"]][1]
-            return fn(batch, window, sample_rate)
-
-        def stream():  # logs the end of the stream
-            yield from ((block,) for block in traces.blocks(x))
-            log.append(("ended", None))
-
         monkeypatch.setattr(dsp, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(dsp, "_receive", logged_receive)
-        monkeypatch.setitem(dsp.TRACKERS, tracker, (logged_fn, floor))
-        got = dsp.track_all(stream(), receivers, tracker, FS)
+        got = dsp.track_all(((block,) for block in traces.blocks(x)), receivers, tracker, FS)
         for (_, window, hop), track, (freqs, confs) in zip(receivers, got, want, strict=True):
             assert np.array_equal(track.frequencies, freqs)
             assert np.array_equal(track.confidences, confs)
             assert np.array_equal(track.frame_times,
                                   dsp._frame_times(freqs.size, window, hop, FS))
-        # every job ran, and no job ran here before the stream ended
-        assert all(job["ran"] is not None for job in jobs)
-        kinds = [kind for kind, _ in log]
-        ended = kinds.index("ended")
-        assert "here" not in kinds[:ended]
-        # the worker ran whole batches; this thread ran its jobs in consecutive
-        # pieces of at most 24 elements, or of one frame
-        for job in jobs:
-            window = receivers[job["r"]][1]
-            if job["ran"] == "worker":
-                assert len(job["pieces"]) == 1
-            else:
-                rows = max(1, 24 // window)
-                assert job["pieces"][:-1] == [rows] * (len(job["pieces"]) - 1)
-                assert 1 <= job["pieces"][-1] <= rows
-        if script == (False,):  # a worker that never seems done leaves jobs to this thread
-            assert "here" in kinds
-        # handed on in submission order, piece by piece, with no more batches
+        if script is None:  # no job ran on the calling thread
+            assert threading.get_ident() not in threads
+        # every batch handed on once, in submission order, with no more batches
         # queued than receivers
-        assert [r for kind, r in log if kind == "take"] == [
-            job["r"] for job in jobs for _ in job["pieces"]]
-        last_takes = set(np.cumsum([len(job["pieces"]) for job in jobs]).tolist())
-        queued, most, taken = 0, 0, 0
-        for kind in kinds:  # a job leaves the queue with its last piece's take
-            if kind == "submit":
-                queued += 1
-                most = max(most, queued)
-            elif kind == "take":
-                taken += 1
-                queued -= taken in last_takes
+        submitted, taken = ([r for kind, r in log if kind == k] for k in ("submit", "take"))
+        assert taken == submitted
+        queued, most = 0, 0
+        for kind, _ in log:
+            queued += 1 if kind == "submit" else -1
+            most = max(most, queued)
         assert most <= len(receivers)
         if script == (False,):  # a worker that never seems done fills the queue
             assert most == len(receivers)
@@ -636,11 +575,10 @@ class TestBlockEdges:
         receivers = [(0, 1024, 512), (0, 2048, 1024), (0, 4096, 2048), (0, 8192, 4096)]
         tracks = dsp.track_all(x, receivers, sample_rate=FS)
         assert all(isinstance(track, dsp.FrequencyTrack) for track in tracks)
-        assert len(made) >= 8  # 4 + 2 + 1 + 1 batches, more where pieces ran here
+        assert len(made) == 8  # 4 + 2 + 1 + 1 batches, each made once, whole
         batch = max(min(dsp._STFT_BLOCK, len(track)) * (window // 2 + 1)
                     for track, (_, window, _) in zip(tracks, receivers))
-        piece = max(max(1, (1 << 17) // window) * (window // 2 + 1) for _, window, _ in receivers)
-        assert most <= batch + piece
+        assert most <= batch
 
     def test_a_stream_error_joins_the_worker(self, monkeypatch):
         spectra = dsp._spectra

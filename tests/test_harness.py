@@ -452,40 +452,6 @@ class TestReceiveAll:
         assert any(future.raised is bad for kind, future in scripted.events if kind == "result")
 
 
-    def test_a_piece_error_is_its_receivers_own(self, fast_link, monkeypatch):
-        # a scripted worker that never seems done leaves the queued jobs to the
-        # calling thread once the stream has ended, which runs them in pieces
-        track, floor = dsp.TRACKERS["stft"]
-        config, alphabet = fast_link
-        schedule, duration = harness.transmit(config, alphabet, b"\x41")
-        scripted = ScriptedExecutor([False])
-        monkeypatch.setattr(dsp, "ThreadPoolExecutor", scripted)
-        calls = []  # (window, frames, run here) of each call
-
-        def flaky(frames, window, sample_rate):  # the 2048 window's second piece here fails
-            calls.append(call := (window.size, frames.shape[0], scripted.running is None))
-            if call == (2048, 64, True) and calls.count(call) == 2:
-                raise DomainError("a piece failed")
-            return track(frames, window, sample_rate)
-
-        monkeypatch.setitem(dsp.TRACKERS, "stft", (flaky, floor))
-        steps = channel.link_blocks(schedule, [config], duration)
-        # the 2048 receiver last, so its closing batch is queued before its failed
-        # batch is handed on: only the failure itself keeps that batch from running
-        ok, also_ok, bad = harness.receive_all(
-            steps, alphabet, [(0, 4096, 2048), (0, 4096, 1024), (0, 2048, 1024)],
-            reference=b"\x41", sample_rate=config.sample_rate)
-        assert ok.ber == 0.0 and also_ok.ber == 0.0
-        assert isinstance(bad, DomainError) and bad.stage == "track"
-        assert str(bad) == "a piece failed"
-        # the failing call was the second 64-frame piece of a 2048 batch run on the
-        # calling thread, and no later piece or batch of that receiver ran
-        failed = [i for i, call in enumerate(calls) if call == (2048, 64, True)][1]
-        assert calls[failed - 1] == (2048, 64, True)
-        assert all(window != 2048 for window, _, _ in calls[failed + 1:])
-        assert not any(future.raised for kind, future in scripted.events if kind == "result")
-
-
 # the criterion-5, -6 and -7 links' configs
 CRITERION_5 = ll.ChannelConfig(noise_sigma=0.0, fade_duration=0.002,
                                sensor_time_constant=0.001, max_command_rate=200.0)
